@@ -1,9 +1,10 @@
-"""Bernoulli numbers and polynomials over exact rationals.
+"""Bernoulli numbers and polynomials: exact rationals, and values mod p^2.
 
 The number cache uses the convention B_1 = -1/2 and grows monotonically
-through the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0.  Values are
-reduced mod p only at the very end, and only when the von Staudt-Clausen
-guard (index <= p-2) certifies that p cannot appear in a denominator.
+through the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0.  Values mod
+p skip it: p*B_m(x) mod p^2 is the power sum sum_{k<p} (x+k)^m in Z/p^2,
+under the von Staudt-Clausen guard m <= p-2 and with p prime to x's
+denominator.  The exact values are the oracle the power sum is tested on.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 from math import comb
 from threading import Lock
 
-from .exactnum import Residue, mod_reduce
+from .exactnum import DenominatorDivisibleByP, Residue
 
 
 class IndexTooLarge(ValueError):
@@ -45,7 +46,7 @@ def bernoulli_number(m: int) -> Fraction:
     return bernoulli_numbers(m)[m]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def bernoulli_poly_eval(m: int, x: Fraction) -> Fraction:
     """B_m(x) = sum_k C(m, k) B_k x^(m-k), exactly."""
     if m < 0:
@@ -60,15 +61,27 @@ def bernoulli_poly_eval(m: int, x: Fraction) -> Fraction:
     return total
 
 
-def bernoulli_value_mod(m: int, x: Fraction, p: int) -> Residue:
-    """B_m(x) reduced mod p.
+def bernoulli_times_p_mod_p2(m: int, x: Fraction, p: int) -> Residue:
+    """p*B_m(x) mod p^2 for x = a/b, as b^-m * sum_{k<p} (a+bk)^m.
 
-    Requires m <= p-2: by von Staudt-Clausen a B_k with (p-1) | k could
-    carry p in its denominator, so larger indices are rejected outright.
+    That sum is sum_{j>=1} C(m, j-1)/j * p^j * B_{m+1-j}(x).  For m <= p-2
+    every B_i(x) with i <= m is p-integral by von Staudt-Clausen, and j < p,
+    so only the j = 1 term p*B_m(x) survives mod p^2.  Needs p prime to b.
     """
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if m >= p - 1:
         raise IndexTooLarge(f"B_{m}(x) mod {p} needs m <= {p - 2}")
-    return mod_reduce(bernoulli_poly_eval(m, Fraction(x)), p, 1)
+    a, b = Fraction(x).as_integer_ratio()
+    if b % p == 0:
+        raise DenominatorDivisibleByP(f"denominator {b} is divisible by {p}")
+    power_sum = sum(pow(a + b * k, m, p * p) for k in range(p))
+    return Residue(power_sum * pow(b, -m, p * p), p, 2)
+
+
+def bernoulli_value_mod(m: int, x: Fraction, p: int) -> Residue:
+    """B_m(x) reduced mod p, under the guards of :func:`bernoulli_times_p_mod_p2`."""
+    return Residue(bernoulli_times_p_mod_p2(m, x, p).value // p, p, 1)
 
 
 def check_bernoulli_identities(m: int, a: int, x: Fraction) -> bool:

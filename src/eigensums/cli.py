@@ -493,14 +493,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     spec = SequenceSpec.builtin(args.sequence)
-    eigen = classify_eigenspace(spec, args.horizon)
+    try:
+        eigen = classify_eigenspace(spec, args.horizon)
+    except ValueError as exc:
+        raise ConfigInvalid(f"--horizon {args.horizon}: {exc}") from exc
     sys.stdout.write(f"{spec.describe()}: {eigen.kind.value} (horizon {eigen.horizon})\n")
     return 0
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     spec = SequenceSpec.builtin(args.sequence)
-    transformed = binomial_transform_prefix(spec.terms(args.horizon))
+    try:
+        transformed = binomial_transform_prefix(spec.terms(args.horizon))
+    except ValueError as exc:
+        raise ConfigInvalid(f"--horizon {args.horizon}: {exc}") from exc
     sys.stdout.write(" ".join(str(x) for x in transformed) + "\n")
     return 0
 

@@ -4,19 +4,19 @@ residues.
 
 The left side always goes through the harmonic-sum machinery; the right
 side is evaluated from its closed form (a scaled deeper sum, a half-range
-recurrence sum, or a Bernoulli polynomial value) as an exact rational and
-reduced at the end.  Reports keep both residues rather than collapsing to
-a boolean so that failures are diagnosable and serialisable.
+recurrence sum over ints mod p^e, or a Bernoulli value at 1/3 from the
+mod-p^2 power sum at index <= p-2) and touches no harmonic table.  Reports
+keep both residues rather than collapsing to a boolean so that failures
+are diagnosable and serialisable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any
 
-from .bernoulli import bernoulli_poly_eval
+from .bernoulli import bernoulli_times_p_mod_p2, bernoulli_value_mod
 from .exactnum import Residue, is_prime, mod_reduce
 from .harmonic import (
     harmonic_table,
@@ -259,20 +259,6 @@ def verify_corollary_1_2(
     )
 
 
-@lru_cache(maxsize=64)
-def _pascal_mod(p: int) -> tuple[tuple[int, ...], ...]:
-    """C(k, j) mod p for 0 <= j <= k <= p-1."""
-    rows = [(1,)]
-    for _ in range(1, p):
-        prev = rows[-1]
-        row = [1]
-        for j in range(1, len(prev)):
-            row.append((prev[j - 1] + prev[j]) % p)
-        row.append(1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _polynomial_sides(n: int, p: int) -> tuple[list[int], list[int]]:
     """Coefficient vectors mod p of the two polynomials compared below."""
     table = harmonic_table(p, n - 1, 1)
@@ -280,15 +266,13 @@ def _polynomial_sides(n: int, p: int) -> tuple[list[int], list[int]]:
     for k in range(1, p):
         gen_coeffs[k] = table.value(k - 1, n - 1).value * pow(k, -1, p) % p
 
-    pascal = _pascal_mod(p)
-    inv_pows = [0] + [pow(k, -n, p) for k in range(1, p)]
-    mirror_coeffs = [0] * p
-    for j in range(p):
-        acc = 0
-        for k in range(max(j, 1), p):
-            acc += pascal[k][j] * inv_pows[k]
-        sign = -1 if (n - 1 + j) % 2 else 1
-        mirror_coeffs[j] = sign * acc % p
+    # Horner's rule for sum_k k^-n z^k at z = 1+y: the coefficient of y^j
+    # is sum_k C(k, j) k^-n, the mirror coefficient of x^j up to sign.
+    shifted: list[int] = []
+    for coeff in reversed([0] + [pow(k, -n, p) for k in range(1, p)]):
+        shifted = [(a + b) % p for a, b in zip(shifted + [0], [0] + shifted)]  # times 1+y
+        shifted[0] = (shifted[0] + coeff) % p
+    mirror_coeffs = [-v % p if (n - 1 + j) % 2 else v for j, v in enumerate(shifted)]
     return gen_coeffs, mirror_coeffs
 
 
@@ -343,18 +327,16 @@ def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
     seq = SequenceSpec.second_order(c, 1)
     terms = seq.terms(p - 1)
     if n % 2 == 1:
-        e = 2
-        factor = Fraction(-p * (n + 1))
-        power = n + 1
+        e, factor, power = 2, -p * (n + 1), n + 1
     else:
-        e = 1
-        factor = Fraction(-2)
-        power = n
-    acc = Fraction(0)
+        e, factor, power = 1, -2, n
+    mod = p**e
+    acc = 0
     for k in range(1, (p - 1) // 2 + 1):
-        acc += Fraction(c**k) * terms[p - 2 * k] / Fraction(k**power)
+        term = terms[p - 2 * k]
+        acc += pow(c, k, mod) * term.numerator * pow(term.denominator * k**power, -1, mod)
     lhs = weighted_sum_S(seq, n, p, e)
-    rhs = mod_reduce(factor * acc, p, e)
+    rhs = Residue(factor * acc, p, e)
     return CongruenceReport(
         theorem="thm-3.2",
         sequence=seq.describe(),
@@ -379,15 +361,14 @@ def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:
     if p <= max(n + 1, 3):
         raise PrimeTooSmall(f"need p > {max(n + 1, 3)}, got {p}")
     seq = SequenceSpec.builtin("legendre3_signed")
-    third = Fraction(1, 3)
     if n % 2 == 1:
-        e = 2
-        rhs_exact = -Fraction(2 ** (n + 1) + 2, 6 ** (n + 1)) * p * bernoulli_poly_eval(p - n - 1, third)
+        e, scale = 2, -Fraction(2 ** (n + 1) + 2, 6 ** (n + 1))
+        bernoulli_side = bernoulli_times_p_mod_p2(p - n - 1, Fraction(1, 3), p)
     else:
-        e = 1
-        rhs_exact = -Fraction(2 ** (n + 1) + 4, n * 6**n) * bernoulli_poly_eval(p - n, third)
+        e, scale = 1, -Fraction(2 ** (n + 1) + 4, n * 6**n)
+        bernoulli_side = bernoulli_value_mod(p - n, Fraction(1, 3), p)
     lhs = weighted_sum_S(seq, n, p, e)
-    rhs = mod_reduce(rhs_exact, p, e)
+    rhs = mod_reduce(scale, p, e) * bernoulli_side
     return CongruenceReport(
         theorem="thm-3.3",
         sequence=seq.describe(),

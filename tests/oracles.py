@@ -49,17 +49,23 @@ def staudt_clausen_denominator(two_k: int) -> int:
 def lemma_3_1_sides_exact(n: int, p: int) -> tuple[list[Fraction], list[Fraction]]:
     """Exact rational coefficient vectors of the two lemma-3.1 polynomials,
     built straight from the definitions (binomial expansion, no tables)."""
-    from math import comb
-
     gen = [Fraction(0)] * p
     for k in range(1, p):
         gen[k] = harmonic_by_enumeration(k - 1, n - 1) / k
+    return gen, lemma_3_1_mirror_exact(n, p)
+
+
+def lemma_3_1_mirror_exact(n: int, p: int) -> list[Fraction]:
+    """Exact coefficients of (-1)^(n-1) sum_{k<p} (1-x)^k / k^n, expanded
+    binomially term by term."""
+    from math import comb
+
     mirror = [Fraction(0)] * p
     for k in range(1, p):
         inv_kn = Fraction(1, k**n)
         for j in range(k + 1):
             mirror[j] += (-1) ** (n - 1 + j) * comb(k, j) * inv_kn
-    return gen, mirror
+    return mirror
 
 
 def theorem_3_2_half_range_odd(a: SequenceSpec, n: int, p: int) -> int:
@@ -73,3 +79,15 @@ def theorem_3_2_half_range_odd(a: SequenceSpec, n: int, p: int) -> int:
     total = -p * (n + 1) * acc
     mod = p * p
     return total.numerator * pow(total.denominator, -1, mod) % mod
+
+
+def theorem_3_2_half_range_even(a: SequenceSpec, n: int, p: int) -> int:
+    """The even-depth thm-3.2 closed form
+    -2 sum_{k<=(p-1)/2} c^k a_{p-2k} / k^n as an integer in [0, p),
+    summed over exact rationals and reduced by a plain modular inverse."""
+    terms = a.terms(p - 1)
+    acc = Fraction(0)
+    for k in range(1, (p - 1) // 2 + 1):
+        acc += a.c**k * terms[p - 2 * k] / Fraction(k**n)
+    total = -2 * acc
+    return total.numerator * pow(total.denominator, -1, p) % p

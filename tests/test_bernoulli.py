@@ -7,10 +7,11 @@ from eigensums.bernoulli import (
     bernoulli_number,
     bernoulli_numbers,
     bernoulli_poly_eval,
+    bernoulli_times_p_mod_p2,
     bernoulli_value_mod,
     check_bernoulli_identities,
 )
-from eigensums.exactnum import DenominatorDivisibleByP
+from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
 
 from oracles import staudt_clausen_denominator
 
@@ -90,3 +91,35 @@ def test_special_values_at_odd_degree():
         assert bernoulli_poly_eval(m, F(2, 3)) == -third
         assert bernoulli_poly_eval(m, F(1, 6)) == (1 + F(2) ** (1 - m)) * third
         assert bernoulli_poly_eval(m, F(5, 6)) == -bernoulli_poly_eval(m, F(1, 6))
+
+
+def test_power_sum_matches_exact_path():
+    # p*B_m(x) = sum_{k<p} (x+k)^m (mod p^2) for m <= p-2, against the exact values
+    primes = primes_between(2, 199)
+    for x in (F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 6)):
+        for m in range(198):
+            exact = bernoulli_poly_eval(m, x)
+            for p in primes:
+                if p < m + 2 or x.denominator % p == 0:
+                    continue
+                assert bernoulli_times_p_mod_p2(m, x, p) == mod_reduce(p * exact, p, 2), (m, x, p)
+                assert bernoulli_value_mod(m, x, p) == mod_reduce(exact, p, 1), (m, x, p)
+
+
+def test_power_sum_guards():
+    with pytest.raises(IndexTooLarge):
+        bernoulli_times_p_mod_p2(6, F(1, 3), 7)
+    with pytest.raises(DenominatorDivisibleByP):
+        bernoulli_times_p_mod_p2(2, F(1, 5), 5)
+    with pytest.raises(ValueError):
+        bernoulli_times_p_mod_p2(-1, F(1, 3), 7)
+
+
+def test_power_sum_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for p in (211, 401):
+        for m in (p - 2, p - 3):
+            value = sympy.bernoulli(m, sympy.Rational(1, 3))
+            exact = F(int(value.p), int(value.q))
+            assert bernoulli_times_p_mod_p2(m, F(1, 3), p) == mod_reduce(p * exact, p, 2), (m, p)
+            assert bernoulli_value_mod(m, F(1, 3), p) == mod_reduce(exact, p, 1), (m, p)

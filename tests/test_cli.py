@@ -163,6 +163,13 @@ def test_classify_and_transform_commands(capsys):
     assert code == 0 and out == "1 1/2 1/4 1/8\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "transform"])
+def test_negative_horizon_is_config_error(capsys, command):
+    code, out, err = run(capsys, command, "--sequence", "fibonacci", "--horizon", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --horizon -1") and err.count("\n") == 1
+
+
 def test_report_dataclass_equality_includes_params():
     a = CongruenceReport("x", "s", {"n": 1}, Residue(0, 5), Residue(0, 5), 5, True)
     b = CongruenceReport("x", "s", {"n": 1}, Residue(0, 5), Residue(0, 5), 5, True)

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from eigensums import bernoulli, congruence
+from eigensums.bernoulli import bernoulli_poly_eval
 from eigensums.congruence import (
     EvenDepth,
     NotInvariantMinus,
     NotInvariantPlus,
     PrimeTooSmall,
+    _polynomial_sides,
     lemma_2_1_sum,
     verify_S_parity,
     verify_corollary_1_2,
@@ -20,7 +23,13 @@ from eigensums.exactnum import mod_reduce, primes_between
 from eigensums.harmonic import nested_sum_bruteforce, weighted_sum_S
 from eigensums.seqalg import SequenceSpec, second_order_terms
 
-from oracles import brute_variant, lemma_3_1_sides_exact
+from oracles import (
+    brute_variant,
+    lemma_3_1_mirror_exact,
+    lemma_3_1_sides_exact,
+    theorem_3_2_half_range_even,
+    theorem_3_2_half_range_odd,
+)
 
 F = Fraction
 STEP = SequenceSpec.builtin("step")
@@ -180,6 +189,14 @@ def test_lemma_3_1_matches_exact_polynomial_oracle():
         assert report.passed, (n, p)
 
 
+def test_lemma_3_1_mirror_side_matches_binomial_expansion():
+    # the Taylor-shifted mirror side against the literal expansion of (1-x)^k
+    for p in primes_between(3, 43):
+        for n in range(1, p - 1):
+            want = [mod_reduce(v, p, 1).value for v in lemma_3_1_mirror_exact(n, p)]
+            assert _polynomial_sides(n, p)[1] == want, (n, p)
+
+
 def test_lemma_3_1_guard():
     with pytest.raises(PrimeTooSmall):
         verify_lemma_3_1(4, 5)
@@ -200,6 +217,15 @@ def test_theorem_3_2_c_zero_degenerates_to_step():
     assert r.passed
     assert r.lhs == weighted_sum_S(STEP, 1, 5, 2)
     assert r.rhs.value == 0
+
+
+def test_theorem_3_2_rhs_matches_exact_half_range_oracle():
+    for c in range(-3, 4):
+        seq = SequenceSpec.second_order(c, 1)
+        for n in range(1, 5):
+            oracle = theorem_3_2_half_range_odd if n % 2 else theorem_3_2_half_range_even
+            for p in primes_between(n + 2, 101):
+                assert verify_theorem_3_2(c, n, p).rhs.value == oracle(seq, n, p), (c, n, p)
 
 
 def test_theorem_3_2_guard():
@@ -269,6 +295,29 @@ def test_theorem_3_3_exact_sides_of_worked_example():
     assert lhs_exact == F(-5, 12)
     assert mod_reduce(lhs_exact, 5, 2).value == 10
     assert mod_reduce(F(-5, 162), 5, 2).value == 10
+
+
+def test_theorem_3_3_rhs_matches_exact_bernoulli_formula():
+    third = F(1, 3)
+    for n in range(1, 7):
+        for p in primes_between(max(n + 2, 5), 199):
+            if n % 2:
+                exact = -F(2 ** (n + 1) + 2, 6 ** (n + 1)) * p * bernoulli_poly_eval(p - n - 1, third)
+            else:
+                exact = -F(2 ** (n + 1) + 4, n * 6**n) * bernoulli_poly_eval(p - n, third)
+            report = verify_theorem_3_3(n, p)
+            assert report.rhs == mod_reduce(exact, p, 2 if n % 2 else 1), (n, p)
+
+
+def test_theorem_3_3_never_reaches_the_exact_bernoulli_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact Bernoulli path reached")
+
+    for name in ("bernoulli_numbers", "bernoulli_poly_eval"):
+        monkeypatch.setattr(bernoulli, name, refuse)
+        monkeypatch.setattr(congruence, name, refuse, raising=False)
+    for n in range(1, 5):
+        assert verify_theorem_3_3(n, 1009).passed, n
 
 
 def test_theorem_3_3_guard():
