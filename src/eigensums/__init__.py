@@ -4,7 +4,6 @@ sequences invariant under the binomial transform."""
 from .exactnum import (
     DenominatorDivisibleByP,
     NotAUnit,
-    Rational,
     Residue,
     RingMismatch,
     mod_inverse,

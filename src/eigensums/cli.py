@@ -4,8 +4,8 @@ prefixes, and the coefficient-matrix display.
 
 Sweep cells that violate a result's hypotheses (wrong parity, prime too
 small, sequence in the wrong eigenspace, a denominator divisible by p) are
-skipped and counted rather than failed.  Output is sorted after execution,
-so it is byte-identical for any --jobs value.
+skipped and counted rather than failed.  Cells run serially, one prime at
+a time; output is sorted afterwards.  --jobs is accepted but does nothing.
 
 Exit codes: 0 when every report passes, 1 when any fails, 2 on usage or
 configuration errors.
@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
@@ -101,6 +100,8 @@ class SweepConfig:
             raise ConfigInvalid(f"no primes in range {p_lo}..{p_hi}")
         if not self.c_values:
             raise ConfigInvalid("at least one c value is required")
+        if self.m < 0:
+            raise ConfigInvalid(f"m must be >= 0, got {self.m}")
         if self.jobs < 1:
             raise ConfigInvalid("jobs must be >= 1")
         if self.horizon < 1:
@@ -219,14 +220,10 @@ def _sort_key(report: CongruenceReport) -> tuple:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run every admissible cell of the grid; deterministic for any jobs count."""
+    """Run every admissible cell of the grid serially, prime by prime; ``jobs`` is unused."""
     config.validate()
     cells = _cells_for(config)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    else:
-        outcomes = [_run_cell(cell) for cell in cells]
+    outcomes = [_run_cell(cell) for cell in sorted(cells, key=lambda cell: cell.p or 0)]
     reports = [o for o in outcomes if isinstance(o, CongruenceReport)]
     skipped: dict[str, int] = {}
     for o in outcomes:
@@ -430,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--primes", required=True, help="prime range LO..HI (inclusive)")
     sweep.add_argument("--c", default="1", help="c values for thm-3.2: LO..HI or comma list")
     sweep.add_argument("--m", type=int, default=2)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=int, default=1, help="accepted (>= 1) but unused: sweeps run serially")
     sweep.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
     sweep.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
 

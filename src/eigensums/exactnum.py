@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "Rational",
     "Residue",
     "DenominatorDivisibleByP",
     "NotAUnit",
@@ -25,8 +24,6 @@ __all__ = [
     "primes_between",
     "MAX_EXPONENT",
 ]
-
-Rational = Fraction
 
 # Residue rings stop at p^3; nothing in the verification suite needs more.
 MAX_EXPONENT = 3

@@ -91,3 +91,42 @@ def theorem_3_2_half_range_even(a: SequenceSpec, n: int, p: int) -> int:
         acc += a.c**k * terms[p - 2 * k] / Fraction(k**n)
     total = -2 * acc
     return total.numerator * pow(total.denominator, -1, p) % p
+
+
+def harmonic_rows_exact(p: int, depth: int) -> list[list[Fraction]]:
+    """H_r^(d) for d <= depth and r < p as exact rationals, indexed [d][r],
+    by the recursion H_r^(d) = H_{r-1}^(d) + H_{r-1}^(d-1) / r."""
+    rows = [[Fraction(1)] * p]
+    for _ in range(depth):
+        below, row = rows[-1], [Fraction(0)]
+        for r in range(1, p):
+            row.append(row[r - 1] + below[r - 1] / r)
+        rows.append(row)
+    return rows
+
+
+def reverse_rows_exact(p: int, depth: int) -> list[list[Fraction]]:
+    """R_k^(d), the sum of 1/(i_1...i_d) over k < i_1 < ... < i_d < p, for
+    d <= depth and k < p as exact rationals, indexed [d][k], by the
+    recursion R_k^(d) = R_{k+1}^(d) + R_{k+1}^(d-1) / (k+1)."""
+    rows = [[Fraction(1)] * p]
+    for _ in range(depth):
+        below, row = rows[-1], [Fraction(0)] * p
+        for k in range(p - 2, -1, -1):
+            row[k] = row[k + 1] + below[k + 1] / (k + 1)
+        rows.append(row)
+    return rows
+
+
+def weighted_sums_exact(a: SequenceSpec, j: int, p: int) -> dict[str, Fraction]:
+    """The four depth-j weighted sums as exact rationals, keyed by the
+    corollary variant each one serves, from the exact depth-(j-1) rows."""
+    terms = a.terms(p - 1)
+    head = harmonic_rows_exact(p, j - 1)[j - 1]
+    tail = reverse_rows_exact(p, j - 1)[j - 1]
+    return {
+        "minus_head": sum((head[k - 1] * terms[p - k] / k for k in range(j, p)), Fraction(0)),
+        "minus_tail": sum((tail[k] * terms[k] / k for k in range(1, p - j + 1)), Fraction(0)),
+        "plus_head": sum((head[k - 1] * terms[p - k - 1] for k in range(j, p)), Fraction(0)),
+        "plus_tail": sum((tail[k] * terms[k - 1] for k in range(1, p - j + 1)), Fraction(0)),
+    }

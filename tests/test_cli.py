@@ -170,6 +170,18 @@ def test_negative_horizon_is_config_error(capsys, command):
     assert err.startswith("error: --horizon -1") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--m", "-1"], ["--jobs", "0"], ["--horizon", "0"], ["--n", "2..1"], ["--primes", "1..1"]],
+)
+def test_bad_sweep_inputs_give_one_error_line(capsys, bad):
+    base = ["sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "1..2", "--primes", "5..7"]
+    code, out, err = run(capsys, *base, *bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_report_dataclass_equality_includes_params():
     a = CongruenceReport("x", "s", {"n": 1}, Residue(0, 5), Residue(0, 5), 5, True)
     b = CongruenceReport("x", "s", {"n": 1}, Residue(0, 5), Residue(0, 5), 5, True)

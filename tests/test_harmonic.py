@@ -1,11 +1,16 @@
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
 from eigensums.harmonic import (
     SizeGuard,
+    _prime_store,
     harmonic_table,
     head_shifted_sum,
     nested_sum_bruteforce,
@@ -16,7 +21,7 @@ from eigensums.harmonic import (
 )
 from eigensums.seqalg import BUILTIN_NAMES, SequenceSpec
 
-from oracles import brute_variant, harmonic_by_enumeration
+from oracles import brute_variant, harmonic_by_enumeration, weighted_sums_exact
 
 F = Fraction
 STEP = SequenceSpec.builtin("step")
@@ -155,3 +160,102 @@ def test_restricted_classes_cover_full_power_sum():
             total = sum(restricted_power_sum(p, n, r).value for r in range(6)) % p
             want = sum(pow(k, -n, p) for k in range(1, p)) % p
             assert total == want, (p, n)
+
+
+SUMS = {
+    "minus_head": weighted_sum_S,
+    "minus_tail": tail_weighted_sum,
+    "plus_head": head_shifted_sum,
+    "plus_tail": tail_shifted_sum,
+}
+KERNEL_SEQUENCES = [SequenceSpec.builtin(name) for name in BUILTIN_NAMES] + [
+    SequenceSpec.second_order(c, 1) for c in range(-3, 4)
+]
+
+
+@st.composite
+def kernel_cells(draw):
+    p = draw(st.sampled_from(primes_between(3, 200)))
+    return (
+        draw(st.sampled_from(KERNEL_SEQUENCES)),
+        draw(st.integers(min_value=1, max_value=min(6, p - 2))),
+        p,
+        draw(st.integers(min_value=1, max_value=3)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell=kernel_cells())
+@example(cell=(SequenceSpec.builtin("signed_bernoulli"), 1, 199, 3))
+@example(cell=(SequenceSpec.builtin("signed_bernoulli"), 1, 3, 2))
+@example(cell=(SequenceSpec.second_order(-3, 1), 6, 197, 3))
+def test_sums_match_exact_row_oracle(cell):
+    a, j, p, e = cell
+    exact = weighted_sums_exact(a, j, p)
+    for variant, func in SUMS.items():
+        try:
+            want = mod_reduce(exact[variant], p, e)
+        except DenominatorDivisibleByP:
+            with pytest.raises(DenominatorDivisibleByP):
+                func(a, j, p, e)
+        else:
+            assert func(a, j, p, e) == want, (a.describe(), variant, j, p, e)
+
+
+def test_sums_independent_of_evaluation_order():
+    seqs = (FIB, SequenceSpec.builtin("half_power"), SequenceSpec.second_order(2, 1))
+    cells = [
+        (variant, a, j, p, e)
+        for p in (29, 31)
+        for j in range(1, 7)
+        for e in (1, 2, 3)
+        for a in seqs
+        for variant in SUMS
+    ]
+    _prime_store.cache_clear()
+    harmonic_table.cache_clear()
+    ascending = {cell: SUMS[cell[0]](*cell[1:]) for cell in cells}
+    kept_view = harmonic_table(29, 5, 3)
+    # Alternate the prime at every cell, so each one evicts the other's
+    # store, while table views cached above outlive theirs.
+    interleaved = {}
+    for j in range(6, 0, -1):
+        for e in (3, 1, 2):
+            for a in seqs:
+                for variant in SUMS:
+                    for p in (31, 29):
+                        cell = (variant, a, j, p, e)
+                        interleaved[cell] = SUMS[variant](a, j, p, e)
+    assert interleaved == ascending
+    assert _prime_store.cache_info().currsize == 1
+    assert kept_view.value(28, 5) == mod_reduce(harmonic_by_enumeration(28, 5), 29, 3)
+
+
+def test_concurrent_callers_grow_each_depth_once():
+    p, depth = 101, 8
+    want = [weighted_sum_S(FIB, j, p, 3) for j in range(1, depth + 1)]
+    _prime_store.cache_clear()
+    harmonic_table.cache_clear()
+    store = _prime_store(p)
+    results: list[list] = []
+    barrier = threading.Barrier(8)
+
+    def worker(order):
+        barrier.wait(timeout=10)
+        got = {j: weighted_sum_S(FIB, j, p, 3) for j in order}
+        results.append([got[j] for j in range(1, depth + 1)])
+
+    orders = [range(depth, 0, -1) if i % 2 else range(1, depth + 1) for i in range(8)]
+    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * 8
+    assert len(store.forward) == depth  # rows 0..depth-1, none appended twice
