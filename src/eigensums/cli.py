@@ -4,8 +4,8 @@ prefixes, and the coefficient-matrix display.
 
 Sweep cells that violate a result's hypotheses (wrong parity, prime too
 small, sequence in the wrong eigenspace, a denominator divisible by p) are
-skipped and counted rather than failed.  Cells run serially, one prime at
-a time; output is sorted afterwards.  --jobs is accepted but does nothing.
+skipped and counted rather than failed.  Cells run serially and the output
+is sorted afterwards.  --jobs is accepted but does nothing.
 
 Exit codes: 0 when every report passes, 1 when any fails, 2 on usage or
 configuration errors.
@@ -220,10 +220,10 @@ def _sort_key(report: CongruenceReport) -> tuple:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run every admissible cell of the grid serially, prime by prime; ``jobs`` is unused."""
+    """Run every admissible cell of the grid serially; ``jobs`` is unused."""
     config.validate()
     cells = _cells_for(config)
-    outcomes = [_run_cell(cell) for cell in sorted(cells, key=lambda cell: cell.p or 0)]
+    outcomes = [_run_cell(cell) for cell in cells]
     reports = [o for o in outcomes if isinstance(o, CongruenceReport)]
     skipped: dict[str, int] = {}
     for o in outcomes:

@@ -261,8 +261,10 @@ def verify_corollary_1_2(
 
 def _polynomial_sides(n: int, p: int) -> tuple[list[int], list[int]]:
     """Coefficient vectors mod p of the two polynomials compared below."""
-    row = harmonic_table(p, n - 1, 1).rows[n - 1]  # H_r^(n-1) mod p^3
-    gen_coeffs = [0] + [h * pow(k, -1, p) % p for k, h in enumerate(row[:-1], 1)]
+    table = harmonic_table(p, n - 1, 1)
+    gen_coeffs = [0] * p
+    for k in range(1, p):
+        gen_coeffs[k] = table.value(k - 1, n - 1).value * pow(k, -1, p) % p
 
     # Horner's rule for sum_k k^-n z^k at z = 1+y: the coefficient of y^j
     # is sum_k C(k, j) k^-n, the mirror coefficient of x^j up to sign.

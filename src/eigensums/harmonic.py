@@ -1,28 +1,23 @@
 """Multiple harmonic sums mod p^e and the weighted sums built from them.
 
-H_r^(j) sums 1/(k_1...k_j) over 1 <= k_1 < ... < k_j <= r, and R_k^(j) over
-k < k_1 < ... < k_j < p.  Both are depth rows of plain ints mod p^3: the
-depth-d row is a prefix sum over the row below, H_r^(d) = sum_{k<=r}
-H_{k-1}^(d-1)/k (R the matching suffix sum), and every division is by a
-unit k < p.  Reducing further gives Z/p^e for any e <= 3, so one row serves
-every exponent.  A private store keeps the rows, the inverses of 1..p-1 and
-each sequence's reduced terms for one prime at a time; its rows grow one
-depth at a time as the sums ask.  The four weighted sums over a sequence a
-(weighted_sum_S and the three companions the vanishing corollaries use)
-wrap only their result in a Residue.  A literal nested-loop enumerator over
-exact rationals is the independent oracle.
+H_r^(j) sums 1/(k_1...k_j) over 1 <= k_1 < ... < k_j <= r.  Tables are
+filled by the recursion H_r^(j) = H_{r-1}^(j) + H_{r-1}^(j-1)/r, where every
+division is by some k < p and hence by a unit of Z/p^e.  On top of the
+tables sit four weighted sums over a sequence a: the depth-j nested sum
+with weight a_{p-k_j} (weighted_sum_S) and its three companions used by
+the vanishing corollaries.  A literal nested-loop enumerator over exact
+rationals serves as the independent oracle.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import prod
 
-from .exactnum import MAX_EXPONENT, DenominatorDivisibleByP, Residue, is_prime
+from .exactnum import DenominatorDivisibleByP, Residue, is_prime, mod_reduce
 from .seqalg import SequenceSpec
 
 __all__ = [
@@ -41,108 +36,98 @@ __all__ = [
 BRUTE_MAX_PRIME = 31
 BRUTE_MAX_DEPTH = 5
 
-# Held while a store appends a depth row, so two threads never build the same one.
-_GROWTH = threading.Lock()
-
 
 class SizeGuard(ValueError):
     """Brute-force enumeration rejected; it would be combinatorially explosive."""
 
 
-class _PrimeStore:
-    """Inverses, depth rows and reduced sequence terms at one prime, as ints
-    mod p^MAX_EXPONENT.  ``forward[d][r]`` is H_r^(d), ``reverse[d][k]`` is
-    R_k^(d), and a term whose denominator p divides is None."""
-
-    def __init__(self, p: int) -> None:
-        self.prime = p
-        self.modulus = p**MAX_EXPONENT
-        self.inverses = [0] + [pow(k, -1, self.modulus) for k in range(1, p)]
-        self.forward = [[1] * p]
-        self.reverse = [[1] * p]
-        self._terms: dict[SequenceSpec, list[int | None]] = {}
-
-    def rows(self, depth: int, reverse: bool = False) -> list[list[int]]:
-        """The forward (or reverse) rows, grown to hold at least ``depth``."""
-        rows = self.reverse if reverse else self.forward
-        if len(rows) <= depth:
-            with _GROWTH:
-                while len(rows) <= depth:
-                    rows.append(self._row_above(rows[-1], reverse))
-        return rows
-
-    def _row_above(self, below: list[int], reverse: bool) -> list[int]:
-        inv = self.inverses[1:]
-        if reverse:  # R_k = sum_{i>k} R'_i / i
-            steps = [h * i for h, i in zip(below[1:], inv)]
-            sums = list(accumulate(reversed(steps), initial=0))[::-1]
-        else:  # H_r = sum_{k<=r} H'_{k-1} / k
-            sums = accumulate([h * i for h, i in zip(below, inv)], initial=0)
-        return [s % self.modulus for s in sums]
-
-    def terms(self, a: SequenceSpec) -> list[int | None]:
-        """a_0..a_{p-1} reduced once; None where p divides a denominator."""
-        reduced = self._terms.get(a)
-        if reduced is None:
-            p, mod = self.prime, self.modulus
-            reduced = [
-                None if t.denominator % p == 0 else t.numerator * pow(t.denominator, -1, mod) % mod
-                for t in a.terms(p - 1)
-            ]
-            self._terms[a] = reduced
-        return reduced
-
-
-@lru_cache(maxsize=1)
-def _prime_store(p: int) -> _PrimeStore:
-    return _PrimeStore(p)
-
-
 @dataclass(frozen=True, slots=True)
 class HarmonicTable:
-    """H_r^(j) for r < p and j <= j_max as residues of Z/p^e.  ``rows[j][r]``
-    is an int mod p^MAX_EXPONENT, in the prime store's own lists (not copies)."""
+    """H_r^(j) as residues for 0 <= r <= p-1 and 0 <= j <= j_max."""
 
     prime: int
     exponent: int
     j_max: int
-    rows: tuple[list[int], ...]
+    values: tuple[tuple[Residue, ...], ...]  # indexed [r][j]
 
     def value(self, r: int, j: int) -> Residue:
         if j > self.j_max:
             raise ValueError(f"table only holds orders up to {self.j_max}")
-        return Residue(self.rows[j][r], self.prime, self.exponent)
-
-
-def _check(p: int, e: int, order: int, lowest: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 1 <= e <= MAX_EXPONENT:
-        raise ValueError(f"exponent must be in 1..{MAX_EXPONENT}, got {e}")
-    if not lowest <= order <= p - 1:
-        raise ValueError(f"need {lowest} <= order <= p-1, got {order}")
+        return self.values[r][j]
 
 
 @lru_cache(maxsize=32)
 def harmonic_table(p: int, j_max: int, e: int = 1) -> HarmonicTable:
-    """A view of H_r^(j) over Z/p^e for r < p, j <= j_max."""
-    _check(p, e, j_max, 0)
-    rows = _prime_store(p).rows(j_max)
-    return HarmonicTable(p, e, j_max, tuple(rows[: j_max + 1]))
+    """Build the DP table of H_r^(j) over Z/p^e for r < p, j <= j_max."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not 0 <= j_max <= p - 1:
+        raise ValueError("need 0 <= j_max <= p-1")
+    one = Residue(1, p, e)
+    zero = Residue(0, p, e)
+    rows = [[one] + [zero] * j_max]
+    for r in range(1, p):
+        inv_r = Residue(r, p, e).inverse()
+        prev = rows[-1]
+        row = [one]
+        for j in range(1, j_max + 1):
+            row.append(prev[j] + prev[j - 1] * inv_r)
+        rows.append(row)
+    return HarmonicTable(p, e, j_max, tuple(tuple(row) for row in rows))
 
 
-def _touched(terms: list[int | None], lo: int, hi: int, p: int) -> list[int]:
-    """terms[lo:hi], the indices a sum reads; raises if one is undefined mod p."""
-    part = terms[lo:hi]
-    if None in part:
-        index = lo + part.index(None)
+@lru_cache(maxsize=32)
+def _reverse_table(p: int, j_max: int, e: int) -> tuple[tuple[Residue, ...], ...]:
+    """R_k^(j): the sum of 1/(j_1...j_j) over k < j_1 < ... < j_j < p."""
+    one = Residue(1, p, e)
+    zero = Residue(0, p, e)
+    rows = [[one] + [zero] * j_max]  # row for k = p-1
+    for k in range(p - 2, -1, -1):
+        inv_next = Residue(k + 1, p, e).inverse()
+        nxt = rows[-1]
+        row = [one]
+        for j in range(1, j_max + 1):
+            row.append(nxt[j] + nxt[j - 1] * inv_next)
+        rows.append(row)
+    rows.reverse()  # now indexed by k = 0..p-1
+    return tuple(tuple(row) for row in rows)
+
+
+@lru_cache(maxsize=128)
+def _inverses(p: int, e: int) -> tuple[Residue, ...]:
+    """Inverses of 1..p-1 in Z/p^e, with a zero placeholder at index 0."""
+    return tuple(
+        Residue(0, p, e) if k == 0 else Residue(k, p, e).inverse() for k in range(p)
+    )
+
+
+@lru_cache(maxsize=256)
+def _lenient_terms(a: SequenceSpec, p: int, e: int) -> tuple[Residue | None, ...]:
+    """a_0..a_{p-1} reduced into Z/p^e, with None marking terms whose
+    denominator p divides.  A None only raises when a sum actually needs it:
+    the weighted sums below touch just the indices inside their structural
+    support (the harmonic weight is identically zero elsewhere)."""
+    out: list[Residue | None] = []
+    for t in a.terms(p - 1):
+        try:
+            out.append(mod_reduce(t, p, e))
+        except DenominatorDivisibleByP:
+            out.append(None)
+    return tuple(out)
+
+
+def _term(terms: tuple[Residue | None, ...], index: int, p: int) -> Residue:
+    value = terms[index]
+    if value is None:
         raise DenominatorDivisibleByP(f"sequence term at index {index} has denominator divisible by {p}")
-    return part
+    return value
 
 
-def _dot(p: int, e: int, *factors: list[int]) -> Residue:
-    """The sum over k of the product of every factor's k-th entry, in Z/p^e."""
-    return Residue(sum(map(prod, zip(*factors))), p, e)
+def _check_order(j: int, p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not 1 <= j <= p - 1:
+        raise ValueError(f"need 1 <= order <= p-1, got {j}")
 
 
 def weighted_sum_S(a: SequenceSpec, j: int, p: int, e: int = 1) -> Residue:
@@ -151,42 +136,50 @@ def weighted_sum_S(a: SequenceSpec, j: int, p: int, e: int = 1) -> Residue:
     Equals the depth-j nested sum of a_{p-k_j}/(k_1...k_j) over
     0 < k_1 < ... < k_j < p.
     """
-    _check(p, e, j, 1)
-    store = _prime_store(p)
-    row = harmonic_table(p, j - 1, e).rows[j - 1]
-    # k runs over j..p-1, since H_{k-1}^(j-1) = 0 for k < j
-    weights = _touched(store.terms(a), 1, p - j + 1, p)[::-1]
-    return _dot(p, e, row[j - 1 : p - 1], weights, store.inverses[j:])
+    _check_order(j, p)
+    table = harmonic_table(p, j - 1, e)
+    terms = _lenient_terms(a, p, e)
+    inv = _inverses(p, e)
+    total = Residue(0, p, e)
+    for k in range(j, p):  # H_{k-1}^(j-1) = 0 for k < j
+        total = total + table.value(k - 1, j - 1) * _term(terms, p - k, p) * inv[k]
+    return total
 
 
 def tail_weighted_sum(a: SequenceSpec, j: int, p: int, e: int = 1) -> Residue:
     """The depth-j nested sum of a_{k_1}/(k_1...k_j) over Z/p^e."""
-    _check(p, e, j, 1)
-    store = _prime_store(p)
-    row = store.rows(j - 1, reverse=True)[j - 1]
-    # k runs over 1..p-j, since R_k^(j-1) = 0 for k > p-j
-    weights = _touched(store.terms(a), 1, p - j + 1, p)
-    return _dot(p, e, row[1 : p - j + 1], weights, store.inverses[1 : p - j + 1])
+    _check_order(j, p)
+    rev = _reverse_table(p, j - 1, e)
+    terms = _lenient_terms(a, p, e)
+    inv = _inverses(p, e)
+    total = Residue(0, p, e)
+    for k in range(1, p - j + 1):  # R_k^(j-1) = 0 for k > p-j
+        total = total + rev[k][j - 1] * _term(terms, k, p) * inv[k]
+    return total
 
 
 def head_shifted_sum(a: SequenceSpec, j: int, p: int, e: int = 1) -> Residue:
     """The depth-j nested sum of a_{p-k_j-1}/(k_1...k_{j-1}): the product
     omits the top index k_j, which survives only inside the subscript."""
-    _check(p, e, j, 1)
-    store = _prime_store(p)
-    row = harmonic_table(p, j - 1, e).rows[j - 1]
-    weights = _touched(store.terms(a), 0, p - j, p)[::-1]
-    return _dot(p, e, row[j - 1 : p - 1], weights)
+    _check_order(j, p)
+    table = harmonic_table(p, j - 1, e)
+    terms = _lenient_terms(a, p, e)
+    total = Residue(0, p, e)
+    for k in range(j, p):
+        total = total + table.value(k - 1, j - 1) * _term(terms, p - k - 1, p)
+    return total
 
 
 def tail_shifted_sum(a: SequenceSpec, j: int, p: int, e: int = 1) -> Residue:
     """The depth-j nested sum of a_{k_1-1}/(k_2...k_j): the product omits
     the bottom index k_1."""
-    _check(p, e, j, 1)
-    store = _prime_store(p)
-    row = store.rows(j - 1, reverse=True)[j - 1]
-    weights = _touched(store.terms(a), 0, p - j, p)
-    return _dot(p, e, row[1 : p - j + 1], weights)
+    _check_order(j, p)
+    rev = _reverse_table(p, j - 1, e)
+    terms = _lenient_terms(a, p, e)
+    total = Residue(0, p, e)
+    for k in range(1, p - j + 1):
+        total = total + rev[k][j - 1] * _term(terms, k - 1, p)
+    return total
 
 
 def nested_sum_bruteforce(a: SequenceSpec, n: int, p: int) -> Fraction:

@@ -1,5 +1,3 @@
-import sys
-import threading
 from fractions import Fraction
 from math import factorial
 
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
 from eigensums.harmonic import (
     SizeGuard,
-    _prime_store,
     harmonic_table,
     head_shifted_sum,
     nested_sum_bruteforce,
@@ -212,12 +209,13 @@ def test_sums_independent_of_evaluation_order():
         for a in seqs
         for variant in SUMS
     ]
-    _prime_store.cache_clear()
     harmonic_table.cache_clear()
     ascending = {cell: SUMS[cell[0]](*cell[1:]) for cell in cells}
-    kept_view = harmonic_table(29, 5, 3)
-    # Alternate the prime at every cell, so each one evicts the other's
-    # store, while table views cached above outlive theirs.
+    kept_table = harmonic_table(29, 5, 3)
+    # Alternate the prime at every cell, with depths descending and e
+    # alternating, after dropping the tables the first pass cached; the
+    # table kept above outlives its cache entry.
+    harmonic_table.cache_clear()
     interleaved = {}
     for j in range(6, 0, -1):
         for e in (3, 1, 2):
@@ -227,35 +225,4 @@ def test_sums_independent_of_evaluation_order():
                         cell = (variant, a, j, p, e)
                         interleaved[cell] = SUMS[variant](a, j, p, e)
     assert interleaved == ascending
-    assert _prime_store.cache_info().currsize == 1
-    assert kept_view.value(28, 5) == mod_reduce(harmonic_by_enumeration(28, 5), 29, 3)
-
-
-def test_concurrent_callers_grow_each_depth_once():
-    p, depth = 101, 8
-    want = [weighted_sum_S(FIB, j, p, 3) for j in range(1, depth + 1)]
-    _prime_store.cache_clear()
-    harmonic_table.cache_clear()
-    store = _prime_store(p)
-    results: list[list] = []
-    barrier = threading.Barrier(8)
-
-    def worker(order):
-        barrier.wait(timeout=10)
-        got = {j: weighted_sum_S(FIB, j, p, 3) for j in order}
-        results.append([got[j] for j in range(1, depth + 1)])
-
-    orders = [range(depth, 0, -1) if i % 2 else range(1, depth + 1) for i in range(8)]
-    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [want] * 8
-    assert len(store.forward) == depth  # rows 0..depth-1, none appended twice
+    assert kept_table.value(28, 5) == mod_reduce(harmonic_by_enumeration(28, 5), 29, 3)
