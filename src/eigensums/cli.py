@@ -2,10 +2,14 @@
 (theorem, sequence, n, prime) grids, eigenspace classification, transform
 prefixes, and the coefficient-matrix display.
 
+Each theorem is registered by one entry in ``_THEOREMS`` (the grid axes a
+sweep crosses and a runner for one cell) plus its verifier in
+``congruence``; ``verify`` and ``sweep`` both dispatch through that table.
 Sweep cells that violate a result's hypotheses (wrong parity, prime too
 small, sequence in the wrong eigenspace, a denominator divisible by p) are
 skipped and counted rather than failed.  Cells run serially and the output
-is sorted afterwards.  --jobs is accepted but does nothing.
+is sorted afterwards.  --jobs is accepted and validated only for
+compatibility; it does nothing.
 
 Exit codes: 0 when every report passes, 1 when any fails, 2 on usage or
 configuration errors.
@@ -16,11 +20,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .centralfact import RationalMatrix, coefficient_matrix, row_reduce
 from .congruence import (
@@ -29,6 +36,7 @@ from .congruence import (
     EigenspaceMismatch,
     EvenDepth,
     PrimeTooSmall,
+    _report,
     verify_S_parity,
     verify_corollary_1_2,
     verify_lemma_2_1,
@@ -46,16 +54,6 @@ from .seqalg import (
     classify_eigenspace,
 )
 
-THEOREM_IDS = (
-    "lemma-2.1",
-    "thm-1.1",
-    "s-parity",
-    "cor-1.2",
-    "lemma-3.1",
-    "thm-3.2",
-    "thm-3.3",
-)
-
 FORMATS = ("text", "json", "csv")
 
 # Hypothesis violations: a sweep cell hitting one of these is skipped, not failed.
@@ -64,6 +62,48 @@ _SKIP_EXCEPTIONS = (EvenDepth, PrimeTooSmall, EigenspaceMismatch, DenominatorDiv
 
 class ConfigInvalid(ValueError):
     """A sweep or verify configuration that cannot be run."""
+
+
+@dataclass(frozen=True)
+class _Cell:
+    theorem: str
+    sequence: SequenceSpec | None = None
+    n: int | None = None
+    p: int | None = None
+    variant: str | None = None
+    c: int | None = None
+    m: int | None = None
+    horizon: int = DEFAULT_HORIZON
+
+
+# Theorem id -> (grid axes a sweep crosses, outermost first; runner of one
+# cell).  The runners look the verifiers up as module globals at call time,
+# so a wrapper installed on those names later still sees every call.
+_THEOREMS: dict[str, tuple[tuple[str, ...], Callable[[_Cell], CongruenceReport]]] = {
+    "lemma-2.1": (
+        ("sequence", "n"),
+        lambda cell: verify_lemma_2_1(
+            cell.sequence, cell.m, cell.n, p=cell.p, horizon=max(cell.n, cell.horizon)
+        ),
+    ),
+    "thm-1.1": (
+        ("sequence", "n", "p"),
+        lambda cell: verify_theorem_1_1(cell.sequence, cell.n, cell.p, cell.horizon),
+    ),
+    "s-parity": (
+        ("sequence", "n", "p"),
+        lambda cell: verify_S_parity(cell.sequence, cell.n, cell.p, cell.horizon),
+    ),
+    "cor-1.2": (
+        ("sequence", "n", "p", "variant"),
+        lambda cell: verify_corollary_1_2(cell.sequence, cell.n, cell.p, cell.variant, cell.horizon),
+    ),
+    "lemma-3.1": (("n", "p"), lambda cell: verify_lemma_3_1(cell.n, cell.p)),
+    "thm-3.2": (("c", "n", "p"), lambda cell: verify_theorem_3_2(cell.c, cell.n, cell.p)),
+    "thm-3.3": (("n", "p"), lambda cell: verify_theorem_3_3(cell.n, cell.p)),
+}
+
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -76,7 +116,6 @@ class SweepConfig:
     prime_range: tuple[int, int]
     c_values: tuple[int, ...] = (1,)
     m: int = 2
-    jobs: int = 1
     horizon: int = DEFAULT_HORIZON
 
     def validate(self) -> None:
@@ -102,22 +141,8 @@ class SweepConfig:
             raise ConfigInvalid("at least one c value is required")
         if self.m < 0:
             raise ConfigInvalid(f"m must be >= 0, got {self.m}")
-        if self.jobs < 1:
-            raise ConfigInvalid("jobs must be >= 1")
         if self.horizon < 1:
             raise ConfigInvalid("horizon must be >= 1")
-
-
-@dataclass(frozen=True)
-class _Cell:
-    theorem: str
-    sequence: SequenceSpec | None = None
-    n: int | None = None
-    p: int | None = None
-    variant: str | None = None
-    c: int | None = None
-    m: int | None = None
-    horizon: int = DEFAULT_HORIZON
 
 
 @dataclass(frozen=True)
@@ -142,66 +167,25 @@ class SweepResult:
 
 
 def _cells_for(config: SweepConfig) -> list[_Cell]:
-    n_values = range(config.n_range[0], config.n_range[1] + 1)
-    primes = primes_between(*config.prime_range)
-    seqs = [SequenceSpec.builtin(name) for name in config.sequences]
+    values = {
+        "sequence": [SequenceSpec.builtin(name) for name in config.sequences],
+        "n": range(config.n_range[0], config.n_range[1] + 1),
+        "p": primes_between(*config.prime_range),
+        "variant": COROLLARY_VARIANTS,
+        "c": config.c_values,
+    }
     cells: list[_Cell] = []
     for theorem in config.theorems:
-        if theorem == "lemma-2.1":
-            cells += [
-                _Cell(theorem, sequence=s, n=n, m=config.m, horizon=config.horizon)
-                for s in seqs
-                for n in n_values
-            ]
-        elif theorem in ("thm-1.1", "s-parity"):
-            cells += [
-                _Cell(theorem, sequence=s, n=n, p=p, horizon=config.horizon)
-                for s in seqs
-                for n in n_values
-                for p in primes
-            ]
-        elif theorem == "cor-1.2":
-            cells += [
-                _Cell(theorem, sequence=s, n=n, p=p, variant=v, horizon=config.horizon)
-                for s in seqs
-                for n in n_values
-                for p in primes
-                for v in COROLLARY_VARIANTS
-            ]
-        elif theorem == "lemma-3.1":
-            cells += [_Cell(theorem, n=n, p=p) for n in n_values for p in primes]
-        elif theorem == "thm-3.2":
-            cells += [
-                _Cell(theorem, c=c, n=n, p=p)
-                for c in config.c_values
-                for n in n_values
-                for p in primes
-            ]
-        elif theorem == "thm-3.3":
-            cells += [_Cell(theorem, n=n, p=p) for n in n_values for p in primes]
+        axes = _THEOREMS[theorem][0]
+        for point in itertools.product(*(values[axis] for axis in axes)):
+            cells.append(_Cell(theorem, m=config.m, horizon=config.horizon, **dict(zip(axes, point))))
     return cells
 
 
 def _run_cell(cell: _Cell) -> CongruenceReport | str:
     """Run one cell; a hypothesis violation returns the skip reason."""
     try:
-        if cell.theorem == "lemma-2.1":
-            return verify_lemma_2_1(
-                cell.sequence, cell.m, cell.n, p=cell.p, horizon=max(cell.n, cell.horizon)
-            )
-        if cell.theorem == "thm-1.1":
-            return verify_theorem_1_1(cell.sequence, cell.n, cell.p, cell.horizon)
-        if cell.theorem == "s-parity":
-            return verify_S_parity(cell.sequence, cell.n, cell.p, cell.horizon)
-        if cell.theorem == "cor-1.2":
-            return verify_corollary_1_2(cell.sequence, cell.n, cell.p, cell.variant, cell.horizon)
-        if cell.theorem == "lemma-3.1":
-            return verify_lemma_3_1(cell.n, cell.p)
-        if cell.theorem == "thm-3.2":
-            return verify_theorem_3_2(cell.c, cell.n, cell.p)
-        if cell.theorem == "thm-3.3":
-            return verify_theorem_3_3(cell.n, cell.p)
-        raise ConfigInvalid(f"unknown theorem id {cell.theorem!r}")
+        return _THEOREMS[cell.theorem][1](cell)
     except _SKIP_EXCEPTIONS as exc:
         return type(exc).__name__
 
@@ -220,17 +204,13 @@ def _sort_key(report: CongruenceReport) -> tuple:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run every admissible cell of the grid serially; ``jobs`` is unused."""
+    """Run every admissible cell of the grid serially."""
     config.validate()
     cells = _cells_for(config)
     outcomes = [_run_cell(cell) for cell in cells]
-    reports = [o for o in outcomes if isinstance(o, CongruenceReport)]
-    skipped: dict[str, int] = {}
-    for o in outcomes:
-        if isinstance(o, str):
-            skipped[o] = skipped.get(o, 0) + 1
-    reports.sort(key=_sort_key)
-    return SweepResult(reports=reports, cells=len(cells), skipped=skipped)
+    reports = sorted((o for o in outcomes if isinstance(o, CongruenceReport)), key=_sort_key)
+    skipped = Counter(o for o in outcomes if isinstance(o, str))
+    return SweepResult(reports=reports, cells=len(cells), skipped=dict(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +224,7 @@ def _side_str(side: Residue | Fraction) -> str:
 
 
 def _report_obj(report: CongruenceReport) -> dict[str, Any]:
-    params: dict[str, Any] = {}
-    for key in _INT_PARAM_KEYS:
-        if key in report.params:
-            params[key] = str(report.params[key])
-    if "variant" in report.params:
-        params["variant"] = report.params["variant"]
+    params = {k: str(report.params[k]) for k in (*_INT_PARAM_KEYS, "variant") if k in report.params}
     obj: dict[str, Any] = {
         "theorem": report.theorem,
         "sequence": report.sequence,
@@ -345,23 +320,12 @@ def parse_reports(data: bytes | str) -> tuple[list[CongruenceReport], dict[str, 
         if obj["modulus"] is None:
             lhs: Residue | Fraction = Fraction(obj["lhs"])
             rhs: Residue | Fraction = Fraction(obj["rhs"])
-            modulus = None
         else:
             p, e = params["p"], params["e"]
             lhs = Residue(int(obj["lhs"]), p, e)
             rhs = Residue(int(obj["rhs"]), p, e)
-            modulus = int(obj["modulus"])
         reports.append(
-            CongruenceReport(
-                theorem=obj["theorem"],
-                sequence=obj["sequence"],
-                params=params,
-                lhs=lhs,
-                rhs=rhs,
-                modulus=modulus,
-                passed=obj["pass"],
-                detail=obj.get("detail"),
-            )
+            _report(obj["theorem"], obj["sequence"], lhs, rhs, obj["pass"], obj.get("detail"), **params)
         )
     return reports, meta
 
@@ -425,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sequence", default="all", help="comma-separated builtin names, or 'all'")
     sweep.add_argument("--n", default="1..2", help="depth range LO..HI")
     sweep.add_argument("--primes", required=True, help="prime range LO..HI (inclusive)")
-    sweep.add_argument("--c", default="1", help="c values for thm-3.2: LO..HI or comma list")
+    sweep.add_argument("--c", default="1", help="c values for thm-3.2: LO..HI or comma list, e.g. -3..3")
     sweep.add_argument("--m", type=int, default=2)
     sweep.add_argument("--jobs", type=int, default=1, help="accepted (>= 1) but unused: sweeps run serially")
     sweep.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
@@ -447,11 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    needs_p = args.theorem != "lemma-2.1"
-    if needs_p and args.p is None:
-        raise ConfigInvalid(f"--p is required for {args.theorem}")
-    if args.theorem == "cor-1.2" and args.variant is None:
-        raise ConfigInvalid("--variant is required for cor-1.2")
+    axes = _THEOREMS[args.theorem][0]
+    for flag in ("p", "variant"):
+        if flag in axes and getattr(args, flag) is None:
+            raise ConfigInvalid(f"--{flag} is required for {args.theorem}")
+    if args.horizon < 1:
+        raise ConfigInvalid("horizon must be >= 1")
     cell = _Cell(
         theorem=args.theorem,
         sequence=SequenceSpec.builtin(args.sequence),
@@ -473,6 +438,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigInvalid("jobs must be >= 1")
     config = SweepConfig(
         theorems=_parse_names(args.theorem, THEOREM_IDS, "theorem"),
         sequences=_parse_names(args.sequence, BUILTIN_NAMES, "sequence"),
@@ -480,7 +447,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         prime_range=_parse_range(args.primes, "prime"),
         c_values=_parse_int_list(args.c, "c"),
         m=args.m,
-        jobs=args.jobs,
         horizon=args.horizon,
     )
     result = run_sweep(config)
@@ -536,10 +502,26 @@ _COMMANDS = {
 }
 
 
+_OPTION = re.compile(r"--\w[\w-]*")
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--c -3..3`` into ``--c=-3..3``: argparse reads a value that
+    starts with '-' and is not a plain number as an unknown option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and _OPTION.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

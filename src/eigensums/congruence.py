@@ -93,9 +93,44 @@ class CongruenceReport:
     detail: str | None = None
 
 
+def _report(
+    theorem: str,
+    sequence: str,
+    lhs: Residue | Fraction,
+    rhs: Residue | Fraction,
+    passed: bool | None = None,
+    detail: str | None = None,
+    **params: Any,
+) -> CongruenceReport:
+    """A report whose modulus is lhs's ring (None for exact sides) and whose
+    verdict is lhs == rhs unless ``passed`` is given."""
+    return CongruenceReport(
+        theorem=theorem,
+        sequence=sequence,
+        params=params,
+        lhs=lhs,
+        rhs=rhs,
+        modulus=lhs.modulus if isinstance(lhs, Residue) else None,
+        passed=lhs == rhs if passed is None else passed,
+        detail=detail,
+    )
+
+
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def _require_cell(n: int, p: int, bound: int, odd: bool = False) -> None:
+    """The guards the p-adic verifiers share, in the order that decides a
+    sweep cell's skip reason: p prime, then the depth, then p > bound."""
+    _require_prime(p)
+    if odd and (n < 1 or n % 2 == 0):
+        raise EvenDepth(f"depth must be odd, got {n}")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if p <= bound:
+        raise PrimeTooSmall(f"need p > {bound}, got {p}")
 
 
 def _require_minus(a: SequenceSpec, horizon: int) -> None:
@@ -133,34 +168,17 @@ def verify_lemma_2_1(
     When a prime is supplied the report carries both sides reduced mod p
     for uniform serialisation, but the pass flag is always the exact test.
     """
-    horizon = horizon or max(n, DEFAULT_HORIZON)
+    if horizon is None:
+        horizon = max(n, DEFAULT_HORIZON)
     _require_minus(a, horizon)
     total = lemma_2_1_sum(a, m, n)
-    params: dict[str, Any] = {"n": n, "m": m}
-    passed = total == 0
-    detail = None if passed else f"exact value {total}"
+    detail = None if total == 0 else f"exact value {total}"
     if p is None:
-        return CongruenceReport(
-            theorem="lemma-2.1",
-            sequence=a.describe(),
-            params=params,
-            lhs=total,
-            rhs=Fraction(0),
-            modulus=None,
-            passed=passed,
-            detail=detail,
-        )
+        return _report("lemma-2.1", a.describe(), total, Fraction(0), detail=detail, n=n, m=m)
     _require_prime(p)
-    params.update({"p": p, "e": 1})
-    return CongruenceReport(
-        theorem="lemma-2.1",
-        sequence=a.describe(),
-        params=params,
-        lhs=mod_reduce(total, p, 1),
-        rhs=Residue(0, p, 1),
-        modulus=p,
-        passed=passed,
-        detail=detail,
+    return _report(
+        "lemma-2.1", a.describe(), mod_reduce(total, p, 1), Residue(0, p, 1), total == 0, detail,
+        n=n, m=m, p=p, e=1,
     )
 
 
@@ -171,51 +189,27 @@ def verify_theorem_1_1(
 
     Requires odd n, prime p > n+1 and a minus-invariant sequence.
     """
-    _require_prime(p)
-    if n < 1 or n % 2 == 0:
-        raise EvenDepth(f"depth must be odd, got {n}")
-    if p <= n + 1:
-        raise PrimeTooSmall(f"need p > {n + 1}, got {p}")
+    _require_cell(n, p, n + 1, odd=True)
     _require_minus(a, horizon)
     lhs = weighted_sum_S(a, n, p, 3)
     scale = mod_reduce(Fraction(p * (n + 1), 2), p, 3)
     rhs = scale * weighted_sum_S(a, n + 1, p, 3)
-    return CongruenceReport(
-        theorem="thm-1.1",
-        sequence=a.describe(),
-        params={"n": n, "p": p, "e": 3},
-        lhs=lhs,
-        rhs=rhs,
-        modulus=p**3,
-        passed=lhs == rhs,
-    )
+    return _report("thm-1.1", a.describe(), lhs, rhs, n=n, p=p, e=3)
 
 
 def verify_S_parity(
     a: SequenceSpec, i: int, p: int, horizon: int = DEFAULT_HORIZON
 ) -> CongruenceReport:
     """The parity chain: S_{2i-1} = 0 (mod p) and S_{2i-1} = i*p*S_{2i} (mod p^3)."""
-    _require_prime(p)
-    if i < 1:
-        raise ValueError("need i >= 1")
-    if p <= 2 * i + 1:
-        raise PrimeTooSmall(f"need p > {2 * i + 1}, got {p}")
+    _require_cell(i, p, 2 * i + 1)
     _require_minus(a, horizon)
     odd_sum = weighted_sum_S(a, 2 * i - 1, p, 3)
     even_sum = weighted_sum_S(a, 2 * i, p, 3)
     rhs = Residue(i * p, p, 3) * even_sum
     vanishes = odd_sum.reduce_exponent(1).value == 0
-    passed = vanishes and odd_sum == rhs
     detail = None if vanishes else f"S_{2 * i - 1} mod p = {odd_sum.reduce_exponent(1).value}"
-    return CongruenceReport(
-        theorem="s-parity",
-        sequence=a.describe(),
-        params={"n": i, "p": p, "e": 3},
-        lhs=odd_sum,
-        rhs=rhs,
-        modulus=p**3,
-        passed=passed,
-        detail=detail,
+    return _report(
+        "s-parity", a.describe(), odd_sum, rhs, vanishes and odd_sum == rhs, detail, n=i, p=p, e=3
     )
 
 
@@ -229,13 +223,9 @@ def verify_corollary_1_2(
     plus-invariant sequences, shift the subscript down by one and omit the
     top / bottom index from the product.
     """
-    _require_prime(p)
     if variant not in COROLLARY_VARIANTS:
         raise ValueError(f"variant must be one of {COROLLARY_VARIANTS}")
-    if n < 1 or n % 2 == 0:
-        raise EvenDepth(f"depth must be odd, got {n}")
-    if p <= n + 1:
-        raise PrimeTooSmall(f"need p > {n + 1}, got {p}")
+    _require_cell(n, p, n + 1, odd=True)
     if variant.startswith("minus"):
         _require_minus(a, horizon)
     else:
@@ -247,16 +237,7 @@ def verify_corollary_1_2(
         "plus_tail": tail_shifted_sum,
     }[variant]
     lhs = evaluate(a, n, p, 1)
-    rhs = Residue(0, p, 1)
-    return CongruenceReport(
-        theorem="cor-1.2",
-        sequence=a.describe(),
-        params={"n": n, "p": p, "e": 1, "variant": variant},
-        lhs=lhs,
-        rhs=rhs,
-        modulus=p,
-        passed=lhs == rhs,
-    )
+    return _report("cor-1.2", a.describe(), lhs, Residue(0, p, 1), n=n, p=p, e=1, variant=variant)
 
 
 def _polynomial_sides(n: int, p: int) -> tuple[list[int], list[int]]:
@@ -283,11 +264,7 @@ def verify_lemma_3_1(n: int, p: int) -> CongruenceReport:
     Passes iff all p coefficients agree; on failure the report carries the
     first mismatching coefficient pair and its index.
     """
-    _require_prime(p)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if p <= n + 1:
-        raise PrimeTooSmall(f"need p > {n + 1}, got {p}")
+    _require_cell(n, p, n + 1)
     gen_coeffs, mirror_coeffs = _polynomial_sides(n, p)
     mismatch = next((j for j in range(p) if gen_coeffs[j] != mirror_coeffs[j]), None)
     if mismatch is None:
@@ -297,16 +274,7 @@ def verify_lemma_3_1(n: int, p: int) -> CongruenceReport:
         lhs = Residue(gen_coeffs[mismatch], p, 1)
         rhs = Residue(mirror_coeffs[mismatch], p, 1)
         detail = f"first mismatch at x^{mismatch}"
-    return CongruenceReport(
-        theorem="lemma-3.1",
-        sequence="-",
-        params={"n": n, "p": p, "e": 1},
-        lhs=lhs,
-        rhs=rhs,
-        modulus=p,
-        passed=mismatch is None,
-        detail=detail,
-    )
+    return _report("lemma-3.1", "-", lhs, rhs, detail=detail, n=n, p=p, e=1)
 
 
 def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
@@ -319,11 +287,7 @@ def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
     known to fail at some cells (c=1, n=1, p=3 gives 6 vs 3 mod 9).  Such
     cells are computed and reported with ``passed`` false, not refused.
     """
-    _require_prime(p)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if p <= n + 1:
-        raise PrimeTooSmall(f"need p > {n + 1}, got {p}")
+    _require_cell(n, p, n + 1)
     seq = SequenceSpec.second_order(c, 1)
     terms = seq.terms(p - 1)
     if n % 2 == 1:
@@ -337,15 +301,7 @@ def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
         acc += pow(c, k, mod) * term.numerator * pow(term.denominator * k**power, -1, mod)
     lhs = weighted_sum_S(seq, n, p, e)
     rhs = Residue(factor * acc, p, e)
-    return CongruenceReport(
-        theorem="thm-3.2",
-        sequence=seq.describe(),
-        params={"n": n, "p": p, "e": e, "c": c},
-        lhs=lhs,
-        rhs=rhs,
-        modulus=p**e,
-        passed=lhs == rhs,
-    )
+    return _report("thm-3.2", seq.describe(), lhs, rhs, n=n, p=p, e=e, c=c)
 
 
 def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:
@@ -355,11 +311,7 @@ def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:
     -((2^(n+1)+2)/6^(n+1)) p B_{p-n-1}(1/3)  (mod p^2) for odd n,
     -((2^(n+1)+4)/(n 6^n)) B_{p-n}(1/3)      (mod p)   for even n.
     """
-    _require_prime(p)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if p <= max(n + 1, 3):
-        raise PrimeTooSmall(f"need p > {max(n + 1, 3)}, got {p}")
+    _require_cell(n, p, max(n + 1, 3))
     seq = SequenceSpec.builtin("legendre3_signed")
     if n % 2 == 1:
         e, scale = 2, -Fraction(2 ** (n + 1) + 2, 6 ** (n + 1))
@@ -369,12 +321,4 @@ def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:
         bernoulli_side = bernoulli_value_mod(p - n, Fraction(1, 3), p)
     lhs = weighted_sum_S(seq, n, p, e)
     rhs = mod_reduce(scale, p, e) * bernoulli_side
-    return CongruenceReport(
-        theorem="thm-3.3",
-        sequence=seq.describe(),
-        params={"n": n, "p": p, "e": e},
-        lhs=lhs,
-        rhs=rhs,
-        modulus=p**e,
-        passed=lhs == rhs,
-    )
+    return _report("thm-3.3", seq.describe(), lhs, rhs, n=n, p=p, e=e)

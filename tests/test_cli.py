@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from eigensums import congruence
 from eigensums.cli import (
+    _THEOREMS,
+    THEOREM_IDS,
     ConfigInvalid,
     SweepConfig,
+    _Cell,
+    _run_cell,
     emit_report,
     main,
     parse_reports,
@@ -13,6 +18,7 @@ from eigensums.cli import (
 )
 from eigensums.congruence import CongruenceReport, verify_theorem_3_3
 from eigensums.exactnum import Residue
+from eigensums.seqalg import SequenceSpec
 
 
 def run(capsys, *argv):
@@ -180,6 +186,115 @@ def test_bad_sweep_inputs_give_one_error_line(capsys, bad):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bad", [["--horizon", "0"], ["--horizon", "-5"], ["--m", "-1"], ["--p", "9"]]
+)
+def test_bad_verify_inputs_give_one_error_line(capsys, bad):
+    code, out, err = run(capsys, "verify", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "2", *bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_negative_range_after_flag_matches_equals_form(capsys):
+    base = ["sweep", "--theorem", "thm-3.2", "--n", "1..2", "--primes", "5..7", "--format", "json"]
+    spaced = run(capsys, *base, "--c", "-3..3")
+    assert spaced == run(capsys, *base, "--c=-3..3")
+    code, out, _ = spaced
+    assert code == 0
+    assert sorted({r.params["c"] for r in parse_reports(out)[0]}) == [-3, -2, -1, 0, 1, 2, 3]
+    single = ["verify", "--theorem", "thm-3.2", "--n", "1", "--p", "7"]
+    assert run(capsys, *single, "--c", "-3") == run(capsys, *single, "--c=-3")
+
+
+# Theorem id -> (verify flags, sweep flags) naming the same cell; the sweep
+# of cor-1.2 also yields the other admissible variants.
+_ONE_CELL = {
+    "lemma-2.1": (["--sequence", "fibonacci", "--n", "3", "--m", "3"],
+                  ["--sequence", "fibonacci", "--n", "3..3", "--m", "3", "--primes", "5..5"]),
+    "thm-1.1": (["--sequence", "step", "--n", "3", "--p", "11"],
+                ["--sequence", "step", "--n", "3..3", "--primes", "11..11"]),
+    "s-parity": (["--sequence", "fibonacci", "--n", "2", "--p", "7"],
+                 ["--sequence", "fibonacci", "--n", "2..2", "--primes", "7..7"]),
+    "cor-1.2": (["--sequence", "half_power", "--n", "1", "--p", "7", "--variant", "plus_tail"],
+                ["--sequence", "half_power", "--n", "1..1", "--primes", "7..7"]),
+    "lemma-3.1": (["--n", "2", "--p", "7"], ["--n", "2..2", "--primes", "7..7"]),
+    "thm-3.2": (["--c", "-2", "--n", "1", "--p", "7"], ["--c", "-2", "--n", "1..1", "--primes", "7..7"]),
+    "thm-3.3": (["--n", "2", "--p", "7"], ["--n", "2..2", "--primes", "7..7"]),
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_matches_one_cell_sweep(capsys, theorem):
+    verify_flags, sweep_flags = _ONE_CELL[theorem]
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, *verify_flags, "--format", "json")
+    verified, _ = parse_reports(out)
+    assert code == 0 and len(verified) == 1
+    code, out, _ = run(capsys, "sweep", "--theorem", theorem, *sweep_flags, "--format", "json")
+    swept, _ = parse_reports(out)
+    assert code == 0
+    variant = verified[0].params.get("variant")
+    assert [r for r in swept if r.params.get("variant") == variant] == verified
+
+
+def test_every_verifier_has_a_theorem_entry():
+    verifiers = {name for name in congruence.__all__ if name.startswith("verify_")}
+    called = {
+        name for _, run_one in _THEOREMS.values() for name in run_one.__code__.co_names
+        if name.startswith("verify_")
+    }
+    assert called == verifiers
+    assert set(_ONE_CELL) == set(THEOREM_IDS)
+
+
+# Recorded before the theorem table and the shared report constructor were
+# introduced: per-theorem cell and skip accounting of a small grid, and one
+# text row per theorem (params print in each verifier's own key order).
+_SKIP_GRID = ["--sequence", "step,half_power,signed_bernoulli", "--n", "1..4", "--primes", "5..13", "--c=-3..3"]
+_SKIP_ACCOUNTING = {
+    "lemma-2.1": ("12", "4", {"NotInvariantMinus": "8"}),
+    "thm-1.1": ("48", "8", {"EvenDepth": "24", "NotInvariantMinus": "16"}),
+    "s-parity": ("48", "11", {"NotInvariantMinus": "22", "PrimeTooSmall": "15"}),
+    "cor-1.2": ("192", "48", {"EvenDepth": "96", "NotInvariantMinus": "32", "NotInvariantPlus": "16"}),
+    "lemma-3.1": ("16", "15", {"PrimeTooSmall": "1"}),
+    "thm-3.2": ("112", "105", {"PrimeTooSmall": "7"}),
+    "thm-3.3": ("16", "15", {"PrimeTooSmall": "1"}),
+}
+_TEXT_ROWS = [
+    "lemma-2.1  step                     n=1 m=2                          0     0     exact    PASS",
+    "thm-1.1    step                     n=1 p=5 e=3                      75    75    125      PASS",
+    "s-parity   step                     n=1 p=5 e=3                      75    75    125      PASS",
+    "cor-1.2    half_power               n=1 p=5 e=1 variant=plus_head    0     0     5        PASS",
+    "lemma-3.1  -                        n=1 p=5 e=1                      0     0     5        PASS",
+    "thm-3.2    second_order(c=-1,a1=1)  n=1 p=5 e=2 c=-1                 10    10    25       PASS",
+    "thm-3.3    legendre3_signed         n=1 p=5 e=2                      10    10    25       PASS",
+]
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_skip_accounting_per_theorem(capsys, theorem):
+    _, out, _ = run(capsys, "sweep", "--theorem", theorem, *_SKIP_GRID, "--format", "json")
+    _, meta = parse_reports(out)
+    assert (meta["cells"], meta["reports"], meta["skip_reasons"]) == _SKIP_ACCOUNTING[theorem]
+
+
+def test_skip_grid_text_rows_and_totals(capsys):
+    code, out, _ = run(capsys, "sweep", "--theorem", "all", *_SKIP_GRID, "--format", "text")
+    assert code == 1  # six thm-3.2 cells at the p = n+2 boundary
+    lines = out.splitlines()
+    assert [next(line for line in lines if line.startswith(t + " ")) for t in THEOREM_IDS] == _TEXT_ROWS
+    assert lines[-1] == (
+        "cells=444 reports=206 passed=200 failed=6 skipped=238 "
+        "(EvenDepth=120, NotInvariantMinus=78, NotInvariantPlus=16, PrimeTooSmall=24)"
+    )
+
+
+def test_denominator_divisible_by_p_is_a_skip():
+    # no builtin sequence reaches this guard in a sweep; a1 = 1/7 does at p = 7
+    seq = SequenceSpec.second_order(1, Fraction(1, 7))
+    assert _run_cell(_Cell("thm-1.1", sequence=seq, n=1, p=7)) == "DenominatorDivisibleByP"
 
 
 def test_report_dataclass_equality_includes_params():

@@ -68,6 +68,12 @@ def test_lemma_2_1_rejects_plus_sequences():
         verify_lemma_2_1(HALF, 2, 2)
 
 
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_lemma_2_1_rejects_explicit_bad_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        verify_lemma_2_1(STEP, 2, 2, horizon=horizon)
+
+
 # --- theorem 1.1 -----------------------------------------------------------
 
 def test_theorem_1_1_worked_example():
