@@ -375,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify a single (theorem, sequence, n, p) cell")
     verify.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    verify.add_argument("--sequence", default="step", choices=BUILTIN_NAMES)
+    verify.add_argument("--sequence", choices=BUILTIN_NAMES, help="default step, where the theorem reads one")
     verify.add_argument("--n", type=int, default=1, help="depth (or index i for s-parity)")
     verify.add_argument("--p", type=int, help="prime modulus base")
-    verify.add_argument("--c", type=int, default=1, help="recurrence coefficient for thm-3.2")
+    verify.add_argument("--c", type=int, help="recurrence coefficient for thm-3.2 (default 1)")
     verify.add_argument("--m", type=int, default=2, help="free parameter for lemma-2.1")
-    verify.add_argument("--variant", choices=COROLLARY_VARIANTS)
+    verify.add_argument("--variant", choices=COROLLARY_VARIANTS, help="required for cor-1.2")
     verify.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
     verify.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
 
@@ -410,8 +410,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags of `verify` that only some theorems read: one outside the theorem's
+# axes is refused, and one left out gets this value (None: it is required).
+_VERIFY_AXIS_DEFAULTS = {"sequence": "step", "c": 1, "variant": None}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     axes = _THEOREMS[args.theorem][0]
+    for flag, default in _VERIFY_AXIS_DEFAULTS.items():
+        given = getattr(args, flag)
+        if flag not in axes and given is not None:
+            raise ConfigInvalid(f"--{flag} is not read by {args.theorem}")
+        if flag in axes and given is None:
+            setattr(args, flag, default)
     for flag in ("p", "variant"):
         if flag in axes and getattr(args, flag) is None:
             raise ConfigInvalid(f"--{flag} is required for {args.theorem}")
@@ -419,7 +430,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigInvalid("horizon must be >= 1")
     cell = _Cell(
         theorem=args.theorem,
-        sequence=SequenceSpec.builtin(args.sequence),
+        sequence=SequenceSpec.builtin(args.sequence) if args.sequence else None,
         n=args.n,
         p=args.p,
         variant=args.variant,

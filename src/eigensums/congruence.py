@@ -4,10 +4,13 @@ residues.
 
 The left side always goes through the harmonic-sum machinery; the right
 side is evaluated from its closed form (a scaled deeper sum, a half-range
-recurrence sum over ints mod p^e, or a Bernoulli value at 1/3 from the
-mod-p^2 power sum at index <= p-2) and touches no harmonic table.  Reports
-keep both residues rather than collapsing to a boolean so that failures
-are diagnosable and serialisable.
+recurrence sum over sequence terms reduced straight into Z/p^e, or a
+Bernoulli value at 1/3 from the mod-p^2 power sum at index <= p-2) and
+touches no harmonic table.  Lemma 3.1's mirror side is a Taylor shift done
+as one correlation with the inverse factorials, a single polynomial
+product mod p by Kronecker substitution (``exactnum.polymul_mod``), in
+place of p^2 Horner steps.  Reports keep both residues rather than
+collapsing to a boolean so that failures are diagnosable and serialisable.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from .bernoulli import bernoulli_times_p_mod_p2, bernoulli_value_mod
-from .exactnum import Residue, is_prime, mod_reduce
+from .exactnum import Residue, factorials_mod, is_prime, mod_reduce, polymul_mod
 from .harmonic import (
     harmonic_table,
     head_shifted_sum,
@@ -240,21 +243,28 @@ def verify_corollary_1_2(
     return _report("cor-1.2", a.describe(), lhs, Residue(0, p, 1), n=n, p=p, e=1, variant=variant)
 
 
+def _mirror_coefficients(n: int, p: int) -> list[int]:
+    """Coefficients mod p of (-1)^(n-1) sum_{k<p} (1-x)^k / k^n.
+
+    A Taylor shift of sum_k k^-n z^k to z = 1+y: the coefficient of y^j is
+    sum_k C(k, j) k^-n = (1/j!) sum_k (k! k^-n) / (k-j)!, one correlation
+    of u_k = k! k^-n with the 1/i!, done as a single product mod p.  Every
+    k! with k < p is a unit mod p, and k^-1 = (k-1)! / k!.
+    """
+    fact, inv_fact = factorials_mod(p, p)
+    u = [0] + [fact[k] * pow(fact[k - 1] * inv_fact[k], n, p) for k in range(1, p)]
+    corr = polymul_mod(u[::-1], inv_fact, p)
+    shifted = [inv_fact[j] * corr[p - 1 - j] % p for j in range(p)]
+    return [-v % p if (n - 1 + j) % 2 else v for j, v in enumerate(shifted)]
+
+
 def _polynomial_sides(n: int, p: int) -> tuple[list[int], list[int]]:
     """Coefficient vectors mod p of the two polynomials compared below."""
     table = harmonic_table(p, n - 1, 1)
     gen_coeffs = [0] * p
     for k in range(1, p):
         gen_coeffs[k] = table.value(k - 1, n - 1).value * pow(k, -1, p) % p
-
-    # Horner's rule for sum_k k^-n z^k at z = 1+y: the coefficient of y^j
-    # is sum_k C(k, j) k^-n, the mirror coefficient of x^j up to sign.
-    shifted: list[int] = []
-    for coeff in reversed([0] + [pow(k, -n, p) for k in range(1, p)]):
-        shifted = [(a + b) % p for a, b in zip(shifted + [0], [0] + shifted)]  # times 1+y
-        shifted[0] = (shifted[0] + coeff) % p
-    mirror_coeffs = [-v % p if (n - 1 + j) % 2 else v for j, v in enumerate(shifted)]
-    return gen_coeffs, mirror_coeffs
+    return gen_coeffs, _mirror_coefficients(n, p)
 
 
 def verify_lemma_3_1(n: int, p: int) -> CongruenceReport:
@@ -289,16 +299,15 @@ def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
     """
     _require_cell(n, p, n + 1)
     seq = SequenceSpec.second_order(c, 1)
-    terms = seq.terms(p - 1)
     if n % 2 == 1:
         e, factor, power = 2, -p * (n + 1), n + 1
     else:
         e, factor, power = 1, -2, n
     mod = p**e
+    terms = seq.terms_mod(p, e)
     acc = 0
     for k in range(1, (p - 1) // 2 + 1):
-        term = terms[p - 2 * k]
-        acc += pow(c, k, mod) * term.numerator * pow(term.denominator * k**power, -1, mod)
+        acc += pow(c, k, mod) * terms[p - 2 * k] * pow(k, -power, mod)
     lhs = weighted_sum_S(seq, n, p, e)
     rhs = Residue(factor * acc, p, e)
     return _report("thm-3.2", seq.describe(), lhs, rhs, n=n, p=p, e=e, c=c)

@@ -20,6 +20,8 @@ __all__ = [
     "RingMismatch",
     "mod_reduce",
     "mod_inverse",
+    "polymul_mod",
+    "factorials_mod",
     "is_prime",
     "primes_between",
     "MAX_EXPONENT",
@@ -176,3 +178,36 @@ def mod_reduce(q: Fraction | int, p: int, e: int = 1) -> Residue:
 def mod_inverse(x: Residue) -> Residue:
     """Modular inverse of a unit residue; raises NotAUnit otherwise."""
     return x.inverse()
+
+
+def factorials_mod(count: int, m: int) -> tuple[list[int], list[int]]:
+    """k! and 1/k! mod m for 0 <= k < count, from one modular inverse;
+    (count-1)! must be a unit mod m, as every k! with k < p is mod p^e."""
+    fact = [1] * count
+    for k in range(1, count):
+        fact[k] = fact[k - 1] * k % m
+    inv_fact = [1] * count
+    inv_fact[-1] = pow(fact[-1], -1, m)
+    for k in range(count - 1, 1, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % m
+    return fact, inv_fact
+
+
+def polymul_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    """Coefficients of the product of two polynomials over Z/m, lowest first.
+
+    Kronecker substitution: each list is packed into one int with a slot
+    per coefficient wide enough for any coefficient of the exact product,
+    so one big-int multiply does all the work and no carry crosses a slot.
+    """
+    if not a or not b:
+        return []
+    a = [x % m for x in a]
+    b = [x % m for x in b]
+    bits = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()
+    width = (bits + 7) // 8
+    packed_a = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in a), "little")
+    packed_b = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in b), "little")
+    size = len(a) + len(b) - 1
+    data = (packed_a * packed_b).to_bytes(width * size, "little")
+    return [int.from_bytes(data[i : i + width], "little") % m for i in range(0, width * size, width)]

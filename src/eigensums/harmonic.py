@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from .exactnum import DenominatorDivisibleByP, Residue, is_prime, mod_reduce
+from .exactnum import DenominatorDivisibleByP, Residue, is_prime
 from .seqalg import SequenceSpec
 
 __all__ = [
@@ -103,17 +103,12 @@ def _inverses(p: int, e: int) -> tuple[Residue, ...]:
 
 @lru_cache(maxsize=256)
 def _lenient_terms(a: SequenceSpec, p: int, e: int) -> tuple[Residue | None, ...]:
-    """a_0..a_{p-1} reduced into Z/p^e, with None marking terms whose
-    denominator p divides.  A None only raises when a sum actually needs it:
-    the weighted sums below touch just the indices inside their structural
-    support (the harmonic weight is identically zero elsewhere)."""
-    out: list[Residue | None] = []
-    for t in a.terms(p - 1):
-        try:
-            out.append(mod_reduce(t, p, e))
-        except DenominatorDivisibleByP:
-            out.append(None)
-    return tuple(out)
+    """a_0..a_{p-1} reduced into Z/p^e by ``SequenceSpec.terms_mod``, with
+    None marking terms whose denominator p divides.  A None only raises
+    when a sum actually needs it: the weighted sums below touch just the
+    indices inside their structural support (the harmonic weight is
+    identically zero elsewhere)."""
+    return tuple(None if t is None else Residue(t, p, e) for t in a.terms_mod(p, e))
 
 
 def _term(terms: tuple[Residue | None, ...], index: int, p: int) -> Residue:

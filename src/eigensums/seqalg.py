@@ -18,6 +18,7 @@ from math import comb
 from typing import Sequence
 
 from .bernoulli import bernoulli_numbers
+from .exactnum import factorials_mod, is_prime, polymul_mod
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -134,6 +135,72 @@ def _builtin_terms(name: str, n_max: int) -> list[Fraction]:
     raise ValueError(f"unknown builtin sequence {name!r}")
 
 
+def _recurrence_mod(a0: int, a1: int, c: int, count: int, m: int) -> tuple[int, ...]:
+    """a_0..a_{count-1} of a_{k+1} = a_k + c*a_{k-1} mod m (count >= 2)."""
+    out = [a0 % m, a1 % m]
+    for _ in range(count - 2):
+        out.append((out[-1] + c * out[-2]) % m)
+    return tuple(out)
+
+
+def _half_power_mod(p: int, m: int) -> tuple[int | None, ...]:
+    if p == 2:  # 1/2 is the only term past a_0
+        return (1, None)
+    half = pow(2, -1, m)
+    return tuple(pow(half, k, m) for k in range(p))
+
+
+def _weighted_catalan_mod(p: int, m: int) -> tuple[int | None, ...]:
+    """C(2k, k)/4^k by the term ratio (2k-1)/(2k), keeping the power of p
+    apart from the unit part.  For k < p each of 2k-1 and 2k holds p at
+    most once."""
+    out: list[int | None] = [1]
+    unit, val = 1, 0
+    for k in range(1, p):
+        num, den = 2 * k - 1, 2 * k
+        if num % p == 0:
+            num, val = num // p, val + 1
+        if den % p == 0:
+            den, val = den // p, val - 1
+        unit = unit * num * pow(den, -1, m) % m
+        out.append(None if val < 0 else unit * p**val % m)
+    return tuple(out)
+
+
+def _series_inverse(f: list[int], m: int) -> list[int]:
+    """g with f*g = 1 mod (m, x^len(f)), for f[0] a unit mod m, by Newton's
+    iteration g <- g*(2 - f*g), which doubles the precision each step."""
+    g = [pow(f[0], -1, m)]
+    while len(g) < len(f):
+        size = min(2 * len(g), len(f))
+        residual = [-x for x in polymul_mod(f[:size], g, m)[:size]]
+        residual[0] += 2
+        g = polymul_mod(g, residual, m)[:size]
+    return g
+
+
+def _signed_bernoulli_mod(p: int, m: int) -> tuple[int | None, ...]:
+    """(-1)^k B_k mod m for k <= p-2 from x/(e^x - 1) = sum_k B_k x^k/k!,
+    the inverse of sum_k x^k/(k+1)! mod x^(p-1); every factorial below p
+    is a unit.  B_{p-1} has p in its denominator (von Staudt-Clausen)."""
+    fact, inv_fact = factorials_mod(p, m)
+    scaled = _series_inverse(inv_fact[1:], m)  # B_k / k!
+    signed = tuple((-fact[k] if k % 2 else fact[k]) * b % m for k, b in enumerate(scaled))
+    return signed + (None,)
+
+
+_BUILTIN_TERMS_MOD = {
+    "step": lambda p, m: (0,) + (1,) * (p - 1),
+    "fibonacci": lambda p, m: _recurrence_mod(0, 1, 1, p, m),
+    "lucas": lambda p, m: _recurrence_mod(2, 1, 1, p, m),
+    "half_power": _half_power_mod,
+    "signed_bernoulli": _signed_bernoulli_mod,
+    "weighted_catalan": _weighted_catalan_mod,
+    "legendre3_signed": lambda p, m: tuple((-1) ** (k + 1) * _LEGENDRE3[k % 3] % m for k in range(p)),
+    "power2_alt": lambda p, m: _recurrence_mod(0, 3, 2, p, m),  # 2^k - (-1)^k
+}
+
+
 @dataclass(frozen=True, slots=True)
 class SequenceSpec:
     """A description of a sequence: a builtin by name, or a second-order
@@ -162,6 +229,29 @@ class SequenceSpec:
     def terms(self, n_max: int) -> tuple[Fraction, ...]:
         """Exact terms a_0..a_{n_max}."""
         return _terms_cached(self, n_max)
+
+    def terms_mod(self, p: int, e: int = 1) -> tuple[int | None, ...]:
+        """a_0..a_{p-1} reduced into Z/p^e as ints in [0, p^e), with None
+        where p divides a term's denominator.
+
+        Equal to reducing ``terms(p - 1)`` term by term, but the builtins
+        and a second-order recurrence whose a_1 is p-integral are computed
+        mod p^e directly, without their exact values.
+        """
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e < 1:
+            raise ValueError(f"exponent must be >= 1, got {e}")
+        m = p**e
+        if self.kind == "builtin":
+            return _BUILTIN_TERMS_MOD[self.name](p, m)
+        num, den = self.a1.as_integer_ratio()
+        if den % p:
+            return _recurrence_mod(0, num * pow(den, -1, m), self.c, p, m)
+        return tuple(
+            None if t.denominator % p == 0 else t.numerator * pow(t.denominator, -1, m) % m
+            for t in self.terms(p - 1)
+        )
 
 
 @lru_cache(maxsize=256)

@@ -130,3 +130,33 @@ def weighted_sums_exact(a: SequenceSpec, j: int, p: int) -> dict[str, Fraction]:
         "plus_head": sum((head[k - 1] * terms[p - k - 1] for k in range(j, p)), Fraction(0)),
         "plus_tail": sum((tail[k] * terms[k - 1] for k in range(1, p - j + 1)), Fraction(0)),
     }
+
+
+def lemma_3_1_mirror_horner(n: int, p: int) -> list[int]:
+    """Coefficients mod p of (-1)^(n-1) sum_{k<p} (1-x)^k / k^n by Horner's
+    rule: sum_k k^-n z^k evaluated at z = 1+y in one list mod p, O(p^2).
+    The coefficient of y^j is sum_k C(k, j) k^-n, the mirror coefficient
+    of x^j up to the sign (-1)^(n-1+j)."""
+    shifted: list[int] = []
+    for coeff in reversed([0] + [pow(k, -n, p) for k in range(1, p)]):
+        shifted = [(a + b) % p for a, b in zip(shifted + [0], [0] + shifted)]  # times 1+y
+        shifted[0] = (shifted[0] + coeff) % p
+    return [-v % p if (n - 1 + j) % 2 else v for j, v in enumerate(shifted)]
+
+
+def polymul_schoolbook(a: list[int], b: list[int], m: int) -> list[int]:
+    """Coefficients of a*b mod m by the quadratic double loop."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [v % m for v in out]
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """(a/p) for an odd prime p by Euler's criterion: a^((p-1)/2) mod p
+    is 0, 1 or p-1."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r

@@ -169,6 +169,27 @@ def test_classify_and_transform_commands(capsys):
     assert code == 0 and out == "1 1/2 1/4 1/8\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--sequence", "fibonacci", "--horizon=-1"],
+        ["classify", "--sequence", "nope"],
+        ["transform", "--sequence", "half_power", "--horizon=-1"],
+        ["transform", "--sequence", "nope"],
+        ["matrix", "--rows", "0"],
+        ["matrix", "--cols=-2"],
+    ],
+)
+def test_bad_classify_transform_matrix_inputs_give_one_error_line(capsys, argv):
+    # an unknown --sequence is refused by argparse, which prints its usage
+    # lines before the one error line
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert err.splitlines()[-1].count("error:") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["classify", "transform"])
 def test_negative_horizon_is_config_error(capsys, command):
     code, out, err = run(capsys, command, "--sequence", "fibonacci", "--horizon", "-1")
@@ -311,3 +332,41 @@ def test_run_sweep_validates_config():
         run_sweep(SweepConfig(theorems=("thm-1.1",), sequences=("step",), n_range=(2, 1), prime_range=(5, 7)))
     with pytest.raises(ConfigInvalid):
         run_sweep(SweepConfig(theorems=("thm-1.1",), sequences=("step",), n_range=(1, 2), prime_range=(1, 7)))
+
+
+def test_verify_refuses_flags_the_theorem_does_not_read(capsys):
+    code, out, err = run(
+        capsys, "verify", "--theorem", "thm-3.3", "--sequence", "fibonacci", "--c", "5",
+        "--variant", "plus_head", "--n", "1", "--p", "7",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --") and "thm-3.3" in err and err.count("\n") == 1
+
+
+_AXIS_FLAGS = {"sequence": ["--sequence", "fibonacci"], "c": ["--c", "5"], "variant": ["--variant", "plus_head"]}
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_reads_exactly_its_axis_flags(capsys, theorem):
+    verify_flags = _ONE_CELL[theorem][0]
+    assert run(capsys, "verify", "--theorem", theorem, *verify_flags)[0] == 0
+    axes = _THEOREMS[theorem][0]
+    for flag, extra in _AXIS_FLAGS.items():
+        if flag in axes:
+            continue
+        code, out, err = run(capsys, "verify", "--theorem", theorem, *verify_flags, *extra)
+        assert code == 2 and out == "", flag
+        assert err == f"error: --{flag} is not read by {theorem}\n"
+
+
+def test_verify_fills_defaults_only_for_flags_the_theorem_reads(capsys):
+    def params(*argv):
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        (report,), _ = parse_reports(out)
+        return report.sequence, report.params
+
+    assert params("--theorem", "thm-1.1", "--n", "1", "--p", "5")[0] == "step"
+    assert params("--theorem", "thm-3.2", "--n", "1", "--p", "7")[1]["c"] == 1
+    assert params("--theorem", "thm-3.2", "--n", "1", "--p", "7", "--c", "0")[1]["c"] == 0
+    assert "c" not in params("--theorem", "thm-3.3", "--n", "1", "--p", "7")[1]

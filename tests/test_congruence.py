@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from eigensums import bernoulli, congruence
+from eigensums import bernoulli, congruence, harmonic
 from eigensums.bernoulli import bernoulli_poly_eval
 from eigensums.congruence import (
     EvenDepth,
     NotInvariantMinus,
     NotInvariantPlus,
     PrimeTooSmall,
+    _mirror_coefficients,
     _polynomial_sides,
     lemma_2_1_sum,
     verify_S_parity,
@@ -25,7 +26,9 @@ from eigensums.seqalg import SequenceSpec, second_order_terms
 
 from oracles import (
     brute_variant,
+    legendre_symbol,
     lemma_3_1_mirror_exact,
+    lemma_3_1_mirror_horner,
     lemma_3_1_sides_exact,
     theorem_3_2_half_range_even,
     theorem_3_2_half_range_odd,
@@ -203,6 +206,13 @@ def test_lemma_3_1_mirror_side_matches_binomial_expansion():
             assert _polynomial_sides(n, p)[1] == want, (n, p)
 
 
+def test_lemma_3_1_taylor_shift_matches_horner():
+    # the one-product shift against the O(p^2) Horner shift it replaced
+    for p in primes_between(3, 211):
+        for n in range(1, p - 1):
+            assert _mirror_coefficients(n, p) == lemma_3_1_mirror_horner(n, p), (n, p)
+
+
 def test_lemma_3_1_guard():
     with pytest.raises(PrimeTooSmall):
         verify_lemma_3_1(4, 5)
@@ -258,6 +268,43 @@ def test_theorem_3_2_boundary_counterexample_is_genuine():
     assert not report.passed
     assert (report.lhs.value, report.rhs.value, report.modulus) == (6, 3, 9)
     assert nested_sum_bruteforce(SequenceSpec.second_order(1, 1), 1, 3) == F(3, 2)
+
+
+def test_theorem_3_2_boundary_residual_is_half_p_times_legendre_symbol():
+    # At odd n with p = n+2 the two sides differ by (p/2)((1+4c)/p) mod p^2,
+    # so a boundary cell passes exactly when p divides 1+4c.
+    for p in primes_between(3, 61):
+        n, mod = p - 2, p * p
+        for c in range(-6, 7):
+            report = verify_theorem_3_2(c, n, p)
+            want = p * pow(2, -1, mod) * legendre_symbol(1 + 4 * c, p) % mod
+            assert (report.lhs.value - report.rhs.value) % mod == want, (c, n, p)
+            assert report.passed == ((1 + 4 * c) % p == 0), (c, n, p)
+
+
+def test_large_prime_sides_never_build_exact_terms(monkeypatch):
+    exact_terms = SequenceSpec.terms
+
+    def capped(self, n_max):
+        if n_max > 48:
+            raise AssertionError(f"exact terms up to index {n_max} requested")
+        return exact_terms(self, n_max)
+
+    monkeypatch.setattr(SequenceSpec, "terms", capped)
+    harmonic._lenient_terms.cache_clear()
+    assert [(r.lhs.value, r.rhs.value) for r in (verify_theorem_3_2(2, n, 1009) for n in (1, 2))] == [
+        (908100, 908100),
+        (900, 900),
+    ]
+    catalan = SequenceSpec.builtin("weighted_catalan")
+    # values recorded from the exact terms before they were reduced mod p^e
+    assert [weighted_sum_S(catalan, j, 1009, 3).value for j in (1, 2, 3)] == [
+        375945153,
+        1015944947,
+        960083883,
+    ]
+    for variant in ("plus_head", "plus_tail"):
+        assert verify_corollary_1_2(catalan, 1, 1009, variant).passed
 
 
 def test_theorem_3_2_scaling_equivariance():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ from eigensums.exactnum import (
     is_prime,
     mod_inverse,
     mod_reduce,
+    polymul_mod,
     primes_between,
 )
+
+from oracles import polymul_schoolbook
 
 
 def test_mod_reduce_worked_examples():
@@ -115,3 +119,24 @@ def test_reduction_consistent_across_exponents(q):
     if q.denominator % p == 0:
         return
     assert mod_reduce(q, p, 3).reduce_exponent(1) == mod_reduce(q, p, 1)
+
+
+def test_polymul_mod_matches_schoolbook():
+    rng = random.Random(20)
+    primes = primes_between(2, 1009)
+    cases = [(0, 0), (0, 5), (5, 0), (1, 1), (300, 300), (1, 300)]
+    cases += [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(30)]
+    for la, lb in cases:
+        p = rng.choice(primes)
+        m = p ** rng.randint(1, 3)
+        a = [rng.randrange(m) for _ in range(la)]
+        b = [rng.randrange(-m, 2 * m) for _ in range(lb)]  # unreduced inputs too
+        assert polymul_mod(a, b, m) == polymul_schoolbook(a, b, m), (la, lb, m)
+
+
+def test_polymul_mod_extreme_coefficients():
+    # every coefficient at m-1 maximises each slot of the packed product
+    for m in (2, 3, 1009**3):
+        for length in (1, 2, 255, 256, 300):
+            full = [m - 1] * length
+            assert polymul_mod(full, full, m) == polymul_schoolbook(full, full, m), (m, length)

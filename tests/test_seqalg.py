@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigensums.bernoulli import bernoulli_numbers
+from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
 from eigensums.seqalg import (
     BUILTIN_NAMES,
     ClosedFormData,
@@ -153,3 +155,42 @@ def test_eigenspace_decomposition(a):
         assert classify_prefix(plus_part) is EigenKind.PLUS
     if any(minus_part):
         assert classify_prefix(minus_part) is EigenKind.MINUS
+
+
+def _reduced_or_none(q: Fraction, p: int, e: int) -> int | None:
+    try:
+        return mod_reduce(q, p, e).value
+    except DenominatorDivisibleByP:
+        return None
+
+
+_MOD_SPECS = [SequenceSpec.builtin(name) for name in BUILTIN_NAMES] + [
+    SequenceSpec.second_order(c, a1) for c in range(-3, 4) for a1 in (F(1), F(1, 7))
+]
+
+
+@pytest.mark.parametrize("spec", _MOD_SPECS, ids=lambda s: s.describe())
+def test_terms_mod_equals_reduced_exact_terms(spec):
+    # a1 = 1/7 sends p = 7 through the exact fallback, where every term
+    # but a_0 has 7 in its denominator
+    for p in primes_between(2, 199):
+        exact = spec.terms(p - 1)
+        for e in (1, 2, 3):
+            want = tuple(_reduced_or_none(t, p, e) for t in exact)
+            assert spec.terms_mod(p, e) == want, (p, e)
+
+
+@pytest.mark.parametrize("p", [211, 1009])
+def test_signed_bernoulli_series_matches_exact_numbers(p):
+    got = SequenceSpec.builtin("signed_bernoulli").terms_mod(p, 3)
+    want = [_reduced_or_none((-1) ** k * b, p, 3) for k, b in enumerate(bernoulli_numbers(p - 1))]
+    assert list(got) == want
+    assert got[-1] is None and None not in got[:-1]
+
+
+def test_terms_mod_guards():
+    step = SequenceSpec.builtin("step")
+    with pytest.raises(ValueError):
+        step.terms_mod(9, 1)
+    with pytest.raises(ValueError):
+        step.terms_mod(5, 0)
