@@ -1,10 +1,11 @@
 """Bernoulli numbers and polynomials: exact rationals, and values mod p^2.
 
 The number cache uses the convention B_1 = -1/2 and grows monotonically
-through the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0.  Values mod
-p skip it: p*B_m(x) mod p^2 is the power sum sum_{k<p} (x+k)^m in Z/p^2,
-under the von Staudt-Clausen guard m <= p-2 and with p prime to x's
-denominator.  The exact values are the oracle the power sum is tested on.
+through the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0, skipping
+the odd B_j past B_1, which are zero.  Values mod p skip it: p*B_m(x) mod
+p^2 is the power sum sum_{k<p} (x+k)^m in Z/p^2, under the von
+Staudt-Clausen guard m <= p-2 and with p prime to x's denominator.  The
+exact values are the oracle the power sum is tested on.
 """
 
 from __future__ import annotations
@@ -34,9 +35,13 @@ def bernoulli_numbers(m: int) -> list[Fraction]:
     with _numbers_lock:
         while len(_numbers) <= m:
             k = len(_numbers)
+            if k >= 3 and k % 2:
+                _numbers.append(Fraction(0))  # B_k vanishes for odd k >= 3
+                continue
             acc = Fraction(0)
             for j in range(k):
-                acc += comb(k + 1, j) * _numbers[j]
+                if j < 3 or j % 2 == 0:  # the odd B_j past B_1 add nothing
+                    acc += comb(k + 1, j) * _numbers[j]
             _numbers.append(-acc / (k + 1))
         return _numbers[: m + 1]
 

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable
 from .centralfact import RationalMatrix, coefficient_matrix, row_reduce
 from .congruence import (
     COROLLARY_VARIANTS,
+    MAX_PRIME,
     CongruenceReport,
     EigenspaceMismatch,
     EvenDepth,
@@ -73,7 +74,7 @@ class _Cell:
     variant: str | None = None
     c: int | None = None
     m: int | None = None
-    horizon: int = DEFAULT_HORIZON
+    horizon: int | None = DEFAULT_HORIZON
 
 
 # Theorem id -> (grid axes a sweep crosses, outermost first; runner of one
@@ -135,6 +136,8 @@ class SweepConfig:
         p_lo, p_hi = self.prime_range
         if p_lo < 2 or p_hi < 2:
             raise ConfigInvalid("prime range bounds must be >= 2")
+        if p_hi > MAX_PRIME:
+            raise ConfigInvalid(f"prime range {p_lo}..{p_hi} goes above the limit MAX_PRIME={MAX_PRIME}")
         if not primes_between(p_lo, p_hi):
             raise ConfigInvalid(f"no primes in range {p_lo}..{p_hi}")
         if not self.c_values:
@@ -379,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=1, help="depth (or index i for s-parity)")
     verify.add_argument("--p", type=int, help="prime modulus base")
     verify.add_argument("--c", type=int, help="recurrence coefficient for thm-3.2 (default 1)")
-    verify.add_argument("--m", type=int, default=2, help="free parameter for lemma-2.1")
+    verify.add_argument("--m", type=int, help="free parameter for lemma-2.1 (default 2)")
     verify.add_argument("--variant", choices=COROLLARY_VARIANTS, help="required for cor-1.2")
     verify.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-    verify.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    verify.add_argument("--horizon", type=int, help=f"classification horizon (default {DEFAULT_HORIZON})")
 
     sweep = sub.add_parser("sweep", help="verify a grid of cells")
     sweep.add_argument("--theorem", default="all", help="comma-separated theorem ids, or 'all'")
@@ -410,23 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags of `verify` that only some theorems read: one outside the theorem's
-# axes is refused, and one left out gets this value (None: it is required).
-_VERIFY_AXIS_DEFAULTS = {"sequence": "step", "c": 1, "variant": None}
+# Flags of `verify` that only some theorems read: one the theorem does not
+# read is refused, and one left out gets this value (None: it is required).
+_VERIFY_FLAG_DEFAULTS = {"sequence": "step", "c": 1, "variant": None, "m": 2, "horizon": DEFAULT_HORIZON}
+
+# The theorems that read a flag which is not one of their grid axes.
+_NON_AXIS_READERS = {
+    "m": ("lemma-2.1",),
+    "horizon": ("lemma-2.1", "thm-1.1", "s-parity", "cor-1.2"),
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     axes = _THEOREMS[args.theorem][0]
-    for flag, default in _VERIFY_AXIS_DEFAULTS.items():
+    reads = {*axes, *(flag for flag, theorems in _NON_AXIS_READERS.items() if args.theorem in theorems)}
+    for flag, default in _VERIFY_FLAG_DEFAULTS.items():
         given = getattr(args, flag)
-        if flag not in axes and given is not None:
+        if flag not in reads and given is not None:
             raise ConfigInvalid(f"--{flag} is not read by {args.theorem}")
-        if flag in axes and given is None:
+        if flag in reads and given is None:
             setattr(args, flag, default)
     for flag in ("p", "variant"):
         if flag in axes and getattr(args, flag) is None:
             raise ConfigInvalid(f"--{flag} is required for {args.theorem}")
-    if args.horizon < 1:
+    if args.horizon is not None and args.horizon < 1:
         raise ConfigInvalid("horizon must be >= 1")
     cell = _Cell(
         theorem=args.theorem,

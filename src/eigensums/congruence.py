@@ -44,6 +44,7 @@ __all__ = [
     "NotInvariantMinus",
     "NotInvariantPlus",
     "COROLLARY_VARIANTS",
+    "MAX_PRIME",
     "verify_lemma_2_1",
     "verify_theorem_1_1",
     "verify_S_parity",
@@ -75,6 +76,11 @@ class NotInvariantPlus(EigenspaceMismatch):
 
 
 COROLLARY_VARIANTS = ("minus_head", "minus_tail", "plus_head", "plus_tail")
+
+# The largest prime a verifier accepts, ten times the primes near 10**4 the
+# checks are meant to reach.  The harmonic store allocates rows of p ints up
+# front, so a prime such as 10**11 + 3 would run until killed.
+MAX_PRIME = 10**5
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,8 @@ def _report(
 
 
 def _require_prime(p: int) -> None:
+    if p > MAX_PRIME:
+        raise ValueError(f"p={p} is above the limit MAX_PRIME={MAX_PRIME}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 

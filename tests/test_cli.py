@@ -16,7 +16,7 @@ from eigensums.cli import (
     parse_reports,
     run_sweep,
 )
-from eigensums.congruence import CongruenceReport, verify_theorem_3_3
+from eigensums.congruence import MAX_PRIME, CongruenceReport, verify_theorem_3_3
 from eigensums.exactnum import Residue
 from eigensums.seqalg import SequenceSpec
 
@@ -209,11 +209,23 @@ def test_bad_sweep_inputs_give_one_error_line(capsys, bad):
     assert "Traceback" not in err
 
 
+_LEMMA_2_1 = ["--theorem", "lemma-2.1", "--sequence", "step", "--n", "2"]
+_THM_3_3 = ["--theorem", "thm-3.3", "--n", "1", "--p", "7"]
+
+
 @pytest.mark.parametrize(
-    "bad", [["--horizon", "0"], ["--horizon", "-5"], ["--m", "-1"], ["--p", "9"]]
+    "bad",
+    [
+        [*_LEMMA_2_1, "--horizon", "0"],
+        [*_LEMMA_2_1, "--horizon", "-5"],
+        [*_LEMMA_2_1, "--m", "-1"],
+        [*_LEMMA_2_1, "--p", "9"],
+        [*_THM_3_3, "--m", "5"],
+        [*_THM_3_3, "--horizon", "3"],
+    ],
 )
 def test_bad_verify_inputs_give_one_error_line(capsys, bad):
-    code, out, err = run(capsys, "verify", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "2", *bad)
+    code, out, err = run(capsys, "verify", *bad)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -357,6 +369,39 @@ def test_verify_reads_exactly_its_axis_flags(capsys, theorem):
         code, out, err = run(capsys, "verify", "--theorem", theorem, *verify_flags, *extra)
         assert code == 2 and out == "", flag
         assert err == f"error: --{flag} is not read by {theorem}\n"
+
+
+# The theorems that read --m and --horizon, neither of which is a grid axis.
+_NON_AXIS_FLAGS = {
+    "m": (["--m", "5"], {"lemma-2.1"}),
+    "horizon": (["--horizon", "60"], {"lemma-2.1", "thm-1.1", "s-parity", "cor-1.2"}),
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_refuses_m_and_horizon_where_unread(capsys, theorem):
+    verify_flags = _ONE_CELL[theorem][0]
+    for flag, (extra, readers) in _NON_AXIS_FLAGS.items():
+        code, out, err = run(capsys, "verify", "--theorem", theorem, *verify_flags, *extra)
+        if theorem in readers:
+            assert code == 0 and err == "", flag
+        else:
+            assert code == 2 and out == "", flag
+            assert err == f"error: --{flag} is not read by {theorem}\n"
+
+
+def test_primes_above_the_limit_are_refused(capsys):
+    too_big = "100000000003"  # prime; the store would allocate rows of p ints
+    for argv in (
+        ["verify", "--theorem", "thm-1.1", "--sequence", "step", "--n", "1", "--p", too_big],
+        ["sweep", "--theorem", "thm-1.1", "--sequence", "step", "--n", "1..1", "--primes", f"5..{too_big}"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv[0]
+        assert err.startswith("error: ") and f"MAX_PRIME={MAX_PRIME}" in err and err.count("\n") == 1
+    # 100003 is the first prime past the limit and 99991 the last one below it
+    assert run(capsys, "verify", "--theorem", "thm-3.2", "--n", "1", "--p", "100003")[0] == 2
+    assert run(capsys, "sweep", "--theorem", "thm-3.2", "--n", "1..1", "--primes", f"99991..{MAX_PRIME}")[0] == 0
 
 
 def test_verify_fills_defaults_only_for_flags_the_theorem_reads(capsys):

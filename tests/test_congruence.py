@@ -291,7 +291,7 @@ def test_large_prime_sides_never_build_exact_terms(monkeypatch):
         return exact_terms(self, n_max)
 
     monkeypatch.setattr(SequenceSpec, "terms", capped)
-    harmonic._lenient_terms.cache_clear()
+    harmonic._prime_store.cache_clear()
     assert [(r.lhs.value, r.rhs.value) for r in (verify_theorem_3_2(2, n, 1009) for n in (1, 2))] == [
         (908100, 908100),
         (900, 900),

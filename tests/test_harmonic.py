@@ -1,3 +1,6 @@
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eigensums import harmonic
 from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
 from eigensums.harmonic import (
     SizeGuard,
@@ -210,12 +214,14 @@ def test_sums_independent_of_evaluation_order():
         for variant in SUMS
     ]
     harmonic_table.cache_clear()
+    harmonic._prime_store.cache_clear()
     ascending = {cell: SUMS[cell[0]](*cell[1:]) for cell in cells}
     kept_table = harmonic_table(29, 5, 3)
     # Alternate the prime at every cell, with depths descending and e
-    # alternating, after dropping the tables the first pass cached; the
-    # table kept above outlives its cache entry.
+    # alternating, after dropping the views and the store the first pass
+    # cached; the table kept above outlives its cache entry and its store.
     harmonic_table.cache_clear()
+    harmonic._prime_store.cache_clear()
     interleaved = {}
     for j in range(6, 0, -1):
         for e in (3, 1, 2):
@@ -226,3 +232,50 @@ def test_sums_independent_of_evaluation_order():
                         interleaved[cell] = SUMS[variant](a, j, p, e)
     assert interleaved == ascending
     assert kept_table.value(28, 5) == mod_reduce(harmonic_by_enumeration(28, 5), 29, 3)
+
+
+def test_store_builds_each_row_once_under_threads(monkeypatch):
+    # Eight threads start together with no store cached for the prime; one store
+    # must be made and each of its depth rows appended exactly once.
+    p, depth, workers = 1009, 8, 8
+    seqs = (FIB, SequenceSpec.builtin("weighted_catalan"))
+    cells = [(variant, a, j, e) for j in range(1, depth + 1) for e in (1, 3) for a in seqs for variant in SUMS]
+    built = Counter()
+    row_above = harmonic._PrimeStore._row_above
+
+    def counted(store, below, reverse):
+        rows = store.reverse if reverse else store.forward
+        built[id(store), reverse, len(rows)] += 1
+        return row_above(store, below, reverse)
+
+    def evaluate(order):
+        return {cell: SUMS[cell[0]](cell[1], cell[2], p, cell[3]) for cell in order}
+
+    monkeypatch.setattr(harmonic._PrimeStore, "_row_above", counted)
+    harmonic._prime_store.cache_clear()
+    start = threading.Barrier(workers, timeout=60)
+    results = [None] * workers
+
+    def work(i):
+        # each thread starts at its own cell; odd threads walk the depths downwards
+        shift = i * len(cells) // workers
+        order = cells[shift:] + cells[:shift]
+        start.wait()
+        results[i] = evaluate(order[::-1] if i % 2 else order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so row growth interleaves
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    (store,) = {key[0] for key in built}
+    assert built == Counter((store, reverse, d) for reverse in (False, True) for d in range(1, depth))
+    harmonic._prime_store.cache_clear()
+    serial = evaluate(cells)
+    assert all(result == serial for result in results)
