@@ -32,6 +32,9 @@ from typing import Any, Callable, Iterable
 from .centralfact import RationalMatrix, coefficient_matrix, row_reduce
 from .congruence import (
     COROLLARY_VARIANTS,
+    MAX_HORIZON,
+    MAX_LEMMA_2_1_N,
+    MAX_MATRIX_DIM,
     MAX_PRIME,
     CongruenceReport,
     EigenspaceMismatch,
@@ -63,6 +66,12 @@ _SKIP_EXCEPTIONS = (EvenDepth, PrimeTooSmall, EigenspaceMismatch, DenominatorDiv
 
 class ConfigInvalid(ValueError):
     """A sweep or verify configuration that cannot be run."""
+
+
+def _within(what: str, value: int, limit: int, name: str) -> None:
+    """Refuse a size above one of the limits in ``congruence``."""
+    if value > limit:
+        raise ConfigInvalid(f"{what} {value} is above the limit {name}={limit}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +155,9 @@ class SweepConfig:
             raise ConfigInvalid(f"m must be >= 0, got {self.m}")
         if self.horizon < 1:
             raise ConfigInvalid("horizon must be >= 1")
+        _within("horizon", self.horizon, MAX_HORIZON, "MAX_HORIZON")
+        if "lemma-2.1" in self.theorems:
+            _within("lemma-2.1 depth n", n_hi, MAX_LEMMA_2_1_N, "MAX_LEMMA_2_1_N")
 
 
 @dataclass(frozen=True)
@@ -436,8 +448,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for flag in ("p", "variant"):
         if flag in axes and getattr(args, flag) is None:
             raise ConfigInvalid(f"--{flag} is required for {args.theorem}")
-    if args.horizon is not None and args.horizon < 1:
-        raise ConfigInvalid("horizon must be >= 1")
+    if args.horizon is not None:
+        if args.horizon < 1:
+            raise ConfigInvalid("horizon must be >= 1")
+        _within("--horizon", args.horizon, MAX_HORIZON, "MAX_HORIZON")
+    if args.theorem == "lemma-2.1":
+        _within("lemma-2.1 --n", args.n, MAX_LEMMA_2_1_N, "MAX_LEMMA_2_1_N")
     cell = _Cell(
         theorem=args.theorem,
         sequence=SequenceSpec.builtin(args.sequence) if args.sequence else None,
@@ -476,6 +492,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    _within("--horizon", args.horizon, MAX_HORIZON, "MAX_HORIZON")
     spec = SequenceSpec.builtin(args.sequence)
     try:
         eigen = classify_eigenspace(spec, args.horizon)
@@ -486,6 +503,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    _within("--horizon", args.horizon, MAX_HORIZON, "MAX_HORIZON")
     spec = SequenceSpec.builtin(args.sequence)
     try:
         transformed = binomial_transform_prefix(spec.terms(args.horizon))
@@ -506,6 +524,8 @@ def _format_matrix(matrix: RationalMatrix) -> str:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.rows < 1 or args.cols < 1:
         raise ConfigInvalid("need rows, cols >= 1")
+    _within("--rows", args.rows, MAX_MATRIX_DIM, "MAX_MATRIX_DIM")
+    _within("--cols", args.cols, MAX_MATRIX_DIM, "MAX_MATRIX_DIM")
     matrix = coefficient_matrix(args.rows, args.cols)
     sys.stdout.write("coefficient matrix:\n")
     sys.stdout.write(_format_matrix(matrix) + "\n")

@@ -6,11 +6,20 @@ The left side always goes through the harmonic-sum machinery; the right
 side is evaluated from its closed form (a scaled deeper sum, a half-range
 recurrence sum over sequence terms reduced straight into Z/p^e, or a
 Bernoulli value at 1/3 from the mod-p^2 power sum at index <= p-2) and
-touches no harmonic table.  Lemma 3.1's mirror side is a Taylor shift done
-as one correlation with the inverse factorials, a single polynomial
-product mod p by Kronecker substitution (``exactnum.polymul_mod``), in
-place of p^2 Horner steps.  Reports keep both residues rather than
-collapsing to a boolean so that failures are diagnosable and serialisable.
+touches no harmonic table.  Both closed-form kernels work over plain ints:
+
+- Lemma 3.1's generating side reads the first differences of one depth-n
+  harmonic row, H_k^(n) - H_{k-1}^(n) = H_{k-1}^(n-1)/k, with no inverse
+  per coefficient.  Its mirror side is a Taylor shift done as one
+  correlation with the inverse factorials, a single polynomial product
+  mod p by Kronecker substitution (``exactnum.polymul_mod``), in place of
+  p^2 Horner steps.
+- Theorem 3.2's half-range sum takes every k^-1 from the factorials and
+  one modular inverse, and c^k as a running product, from its own
+  ``terms_mod`` call.
+
+Reports keep both residues rather than collapsing to a boolean so that
+failures are diagnosable and serialisable.
 """
 
 from __future__ import annotations
@@ -45,6 +54,9 @@ __all__ = [
     "NotInvariantPlus",
     "COROLLARY_VARIANTS",
     "MAX_PRIME",
+    "MAX_HORIZON",
+    "MAX_LEMMA_2_1_N",
+    "MAX_MATRIX_DIM",
     "verify_lemma_2_1",
     "verify_theorem_1_1",
     "verify_S_parity",
@@ -81,6 +93,15 @@ COROLLARY_VARIANTS = ("minus_head", "minus_tail", "plus_head", "plus_tail")
 # checks are meant to reach.  The harmonic store allocates rows of p ints up
 # front, so a prime such as 10**11 + 3 would run until killed.
 MAX_PRIME = 10**5
+
+# Sizes the command line refuses up front, each set so that the largest
+# accepted value finishes in a few seconds: the exact transform behind a
+# classification horizon and lemma 2.1's depth are quadratic in exact
+# rationals (horizon 500 or n = 500 takes about 2 s), and so is each step of
+# the matrix's row reduction (100 x 100 takes about 2 s).
+MAX_HORIZON = 500
+MAX_LEMMA_2_1_N = 500
+MAX_MATRIX_DIM = 100
 
 
 @dataclass(frozen=True)
@@ -267,11 +288,13 @@ def _mirror_coefficients(n: int, p: int) -> list[int]:
 
 
 def _polynomial_sides(n: int, p: int) -> tuple[list[int], list[int]]:
-    """Coefficient vectors mod p of the two polynomials compared below."""
-    table = harmonic_table(p, n - 1, 1)
-    gen_coeffs = [0] * p
-    for k in range(1, p):
-        gen_coeffs[k] = table.value(k - 1, n - 1).value * pow(k, -1, p) % p
+    """Coefficient vectors mod p of the two polynomials compared below.
+
+    The generating side's coefficient of x^k is H_{k-1}^(n-1)/k, the
+    increment H_k^(n) - H_{k-1}^(n) of one depth-n row, so it needs no
+    inverse."""
+    row = harmonic_table(p, n, 1).row(n)
+    gen_coeffs = [0] + [(hi - lo) % p for lo, hi in zip(row, row[1:])]
     return gen_coeffs, _mirror_coefficients(n, p)
 
 
@@ -312,10 +335,12 @@ def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
     else:
         e, factor, power = 1, -2, n
     mod = p**e
-    terms = seq.terms_mod(p, e)
-    acc = 0
-    for k in range(1, (p - 1) // 2 + 1):
-        acc += pow(c, k, mod) * terms[p - 2 * k] * pow(k, -power, mod)
+    # k runs over 1..(p-1)/2 with k^-1 = (k-1)!/k!, and c^k as a running product
+    fact, inv_fact = factorials_mod((p + 1) // 2, mod)
+    acc, c_power = 0, 1
+    for f, i, a in zip(fact, inv_fact[1:], seq.terms_mod(p, e)[p - 2 :: -2]):
+        c_power = c_power * c % mod
+        acc += c_power * a * pow(f * i, power, mod)
     lhs = weighted_sum_S(seq, n, p, e)
     rhs = Residue(factor * acc, p, e)
     return _report("thm-3.2", seq.describe(), lhs, rhs, n=n, p=p, e=e, c=c)

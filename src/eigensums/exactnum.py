@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 __all__ = [
     "Residue",
@@ -48,7 +49,9 @@ class RingMismatch(TypeError):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
+# Bounded: Residue checks its prime on every construction, so the few primes
+# in use stay cached, and no scan over a range can grow the cache.
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for 64-bit inputs)."""
     if n < 2:
@@ -75,8 +78,16 @@ def is_prime(n: int) -> bool:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+    """All primes p with lo <= p <= hi, ascending: a sieve of [lo, hi] that
+    strikes the multiples n >= q^2 of every q <= sqrt(hi)."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    marks = bytearray([1]) * (hi - lo + 1)
+    for q in range(2, isqrt(hi) + 1):
+        first = max(q * q, -(-lo // q) * q)
+        marks[first - lo :: q] = bytes(len(range(first, hi + 1, q)))
+    return [lo + i for i, flag in enumerate(marks) if flag]
 
 
 @dataclass(frozen=True, slots=True)

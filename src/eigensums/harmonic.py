@@ -111,6 +111,13 @@ class HarmonicTable:
             raise ValueError(f"table only holds orders up to {self.j_max}")
         return Residue(self._rows[j][r], self.prime, self.exponent)
 
+    def row(self, j: int) -> list[int]:
+        """H_r^(j) for r < p as ints mod p^e, indexed by r."""
+        if j > self.j_max:
+            raise ValueError(f"table only holds orders up to {self.j_max}")
+        modulus = self.prime**self.exponent
+        return [h % modulus for h in self._rows[j]]
+
 
 def _check(p: int, e: int, order: int, lowest: int) -> None:
     if not is_prime(p):

@@ -137,9 +137,11 @@ def _builtin_terms(name: str, n_max: int) -> list[Fraction]:
 
 def _recurrence_mod(a0: int, a1: int, c: int, count: int, m: int) -> tuple[int, ...]:
     """a_0..a_{count-1} of a_{k+1} = a_k + c*a_{k-1} mod m (count >= 2)."""
-    out = [a0 % m, a1 % m]
+    prev, cur = a0 % m, a1 % m
+    out = [prev, cur]
     for _ in range(count - 2):
-        out.append((out[-1] + c * out[-2]) % m)
+        prev, cur = cur, (cur + c * prev) % m
+        out.append(cur)
     return tuple(out)
 
 

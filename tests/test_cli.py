@@ -18,7 +18,7 @@ from eigensums.cli import (
 )
 from eigensums.congruence import MAX_PRIME, CongruenceReport, verify_theorem_3_3
 from eigensums.exactnum import Residue
-from eigensums.seqalg import SequenceSpec
+from eigensums.seqalg import DEFAULT_HORIZON, SequenceSpec
 
 
 def run(capsys, *argv):
@@ -178,6 +178,10 @@ def test_classify_and_transform_commands(capsys):
         ["transform", "--sequence", "nope"],
         ["matrix", "--rows", "0"],
         ["matrix", "--cols=-2"],
+        ["classify", "--sequence", "fibonacci", "--horizon", "3000"],
+        ["transform", "--sequence", "step", "--horizon", "3000"],
+        ["matrix", "--rows", "400", "--cols", "400"],
+        ["matrix", "--cols", "101"],
     ],
 )
 def test_bad_classify_transform_matrix_inputs_give_one_error_line(capsys, argv):
@@ -199,7 +203,15 @@ def test_negative_horizon_is_config_error(capsys, command):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--m", "-1"], ["--jobs", "0"], ["--horizon", "0"], ["--n", "2..1"], ["--primes", "1..1"]],
+    [
+        ["--m", "-1"],
+        ["--jobs", "0"],
+        ["--horizon", "0"],
+        ["--n", "2..1"],
+        ["--primes", "1..1"],
+        ["--horizon", "501"],
+        ["--n", "1..501"],
+    ],
 )
 def test_bad_sweep_inputs_give_one_error_line(capsys, bad):
     base = ["sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "1..2", "--primes", "5..7"]
@@ -222,6 +234,8 @@ _THM_3_3 = ["--theorem", "thm-3.3", "--n", "1", "--p", "7"]
         [*_LEMMA_2_1, "--p", "9"],
         [*_THM_3_3, "--m", "5"],
         [*_THM_3_3, "--horizon", "3"],
+        [*_LEMMA_2_1, "--horizon", "501"],
+        [*_LEMMA_2_1, "--n", "3000"],
     ],
 )
 def test_bad_verify_inputs_give_one_error_line(capsys, bad):
@@ -402,6 +416,23 @@ def test_primes_above_the_limit_are_refused(capsys):
     # 100003 is the first prime past the limit and 99991 the last one below it
     assert run(capsys, "verify", "--theorem", "thm-3.2", "--n", "1", "--p", "100003")[0] == 2
     assert run(capsys, "sweep", "--theorem", "thm-3.2", "--n", "1..1", "--primes", f"99991..{MAX_PRIME}")[0] == 0
+
+
+def test_sizes_above_the_limits_are_refused_naming_the_limit(capsys):
+    assert congruence.MAX_HORIZON >= DEFAULT_HORIZON
+    for argv, limit in (
+        (["verify", "--theorem", "lemma-2.1", "--n", "3000"], "MAX_LEMMA_2_1_N"),
+        (["verify", "--theorem", "thm-1.1", "--n", "1", "--p", "5", "--horizon", "3000"], "MAX_HORIZON"),
+        (["classify", "--sequence", "fibonacci", "--horizon", "3000"], "MAX_HORIZON"),
+        (["transform", "--sequence", "step", "--horizon", "3000"], "MAX_HORIZON"),
+        (["matrix", "--rows", "400", "--cols", "400"], "MAX_MATRIX_DIM"),
+        (["sweep", "--theorem", "all", "--n", "1..3000", "--primes", "5..7"], "MAX_LEMMA_2_1_N"),
+        (["sweep", "--theorem", "thm-1.1", "--primes", "5..7", "--horizon", "3000"], "MAX_HORIZON"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and f"{limit}={getattr(congruence, limit)}" in err, argv
+        assert err.count("\n") == 1
 
 
 def test_verify_fills_defaults_only_for_flags_the_theorem_reads(capsys):

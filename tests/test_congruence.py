@@ -22,10 +22,11 @@ from eigensums.congruence import (
 )
 from eigensums.exactnum import mod_reduce, primes_between
 from eigensums.harmonic import nested_sum_bruteforce, weighted_sum_S
-from eigensums.seqalg import SequenceSpec, second_order_terms
+from eigensums.seqalg import BUILTIN_NAMES, SequenceSpec, second_order_terms
 
 from oracles import (
     brute_variant,
+    harmonic_rows_exact,
     legendre_symbol,
     lemma_3_1_mirror_exact,
     lemma_3_1_mirror_horner,
@@ -206,11 +207,38 @@ def test_lemma_3_1_mirror_side_matches_binomial_expansion():
             assert _polynomial_sides(n, p)[1] == want, (n, p)
 
 
+def test_lemma_3_1_generating_side_matches_exact_harmonic_rows():
+    # the increments of the depth-n row against H_{k-1}^(n-1)/k from exact rows
+    for p in primes_between(3, 43):
+        rows = harmonic_rows_exact(p, p - 3)
+        for n in range(1, p - 1):
+            want = [0] + [mod_reduce(rows[n - 1][k - 1] / k, p, 1).value for k in range(1, p)]
+            assert _polynomial_sides(n, p)[0] == want, (n, p)
+
+
 def test_lemma_3_1_taylor_shift_matches_horner():
     # the one-product shift against the O(p^2) Horner shift it replaced
     for p in primes_between(3, 211):
         for n in range(1, p - 1):
             assert _mirror_coefficients(n, p) == lemma_3_1_mirror_horner(n, p), (n, p)
+
+
+def test_weighted_sum_matches_mirror_oracle_at_large_primes():
+    # By lemma 3.1, S_n = sum_k H_{k-1}^(n-1) a_{p-k} / k is m_k a_{p-k}
+    # summed mod p, with the m_k from the Taylor shift: no harmonic row.
+    cells = 0
+    for p in (1009, 2003):
+        for name in BUILTIN_NAMES:
+            seq = SequenceSpec.builtin(name)
+            terms = seq.terms_mod(p, 1)
+            if None in terms:
+                continue
+            for n in range(1, 5):
+                mirror = _mirror_coefficients(n, p)
+                want = sum(mirror[k] * terms[p - k] for k in range(1, p)) % p
+                assert weighted_sum_S(seq, n, p, 1).value == want, (name, n, p)
+                cells += 1
+    assert cells == 56  # every builtin but signed_bernoulli, whose a_{p-1} has p in its denominator
 
 
 def test_lemma_3_1_guard():
@@ -236,9 +264,10 @@ def test_theorem_3_2_c_zero_degenerates_to_step():
 
 
 def test_theorem_3_2_rhs_matches_exact_half_range_oracle():
-    for c in range(-3, 4):
+    # includes the boundary cells p = n+2
+    for c in range(-6, 7):
         seq = SequenceSpec.second_order(c, 1)
-        for n in range(1, 5):
+        for n in range(1, 7):
             oracle = theorem_3_2_half_range_odd if n % 2 else theorem_3_2_half_range_even
             for p in primes_between(n + 2, 101):
                 assert verify_theorem_3_2(c, n, p).rhs.value == oracle(seq, n, p), (c, n, p)

@@ -88,6 +88,20 @@ def test_primes_between():
     assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
 
 
+def test_primes_between_sieve_matches_primality_filter():
+    def filtered(lo, hi):
+        return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+
+    for lo in range(-2, 40):
+        for hi in range(-2, 130):
+            assert primes_between(lo, hi) == filtered(lo, hi), (lo, hi)
+    for lo, hi in ((99_000, 100_000), (10**9, 10**9 + 100)):
+        assert primes_between(lo, hi) == filtered(lo, hi), (lo, hi)
+    assert len(primes_between(2, 10**5)) == 9592
+    info = is_prime.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 _fracs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 
 

@@ -48,6 +48,16 @@ def test_table_matches_enumeration():
                 assert table.value(r, j) == want, (p, e, r, j)
 
 
+def test_table_row_matches_values():
+    for p in (5, 11, 31):
+        for e in (1, 2, 3):
+            table = harmonic_table(p, 4, e)
+            for j in range(5):
+                assert table.row(j) == [table.value(r, j).value for r in range(p)], (p, e, j)
+            with pytest.raises(ValueError):
+                table.row(5)
+
+
 def test_table_vanishes_above_diagonal():
     table = harmonic_table(7, 6, 2)
     for r in range(7):
