@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def central_factorial_t(i: int, j: int) -> Fraction:
     """t(i,j) per the alternating sum over the central binomial row."""
     if i < 1 or j < 1:

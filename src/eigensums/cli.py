@@ -5,6 +5,8 @@ prefixes, and the coefficient-matrix display.
 Each theorem is registered by one entry in ``_THEOREMS`` (the grid axes a
 sweep crosses and a runner for one cell) plus its verifier in
 ``congruence``; ``verify`` and ``sweep`` both dispatch through that table.
+The axes also decide which flags ``verify`` reads.  Both commands share
+one limits check, and all three output formats one column builder.
 Sweep cells that violate a result's hypotheses (wrong parity, prime too
 small, sequence in the wrong eigenspace, a denominator divisible by p) are
 skipped and counted rather than failed.  Cells run serially and the output
@@ -33,7 +35,6 @@ from .centralfact import RationalMatrix, coefficient_matrix, row_reduce
 from .congruence import (
     COROLLARY_VARIANTS,
     MAX_HORIZON,
-    MAX_LEMMA_2_1_N,
     MAX_MATRIX_DIM,
     MAX_PRIME,
     CongruenceReport,
@@ -74,6 +75,22 @@ def _within(what: str, value: int, limit: int, name: str) -> None:
         raise ConfigInvalid(f"{what} {value} is above the limit {name}={limit}")
 
 
+def _check_limits(theorems: Iterable[str], n_hi: int, m: int | None, horizon: int | None) -> None:
+    """Refuse what no cell of ``theorems`` up to depth ``n_hi`` can run in
+    reasonable time.  ``m`` and ``horizon`` are None where none of the
+    theorems reads them."""
+    if m is not None and m < 0:
+        raise ConfigInvalid(f"m must be >= 0, got {m}")
+    if horizon is not None:
+        if horizon < 1:
+            raise ConfigInvalid("horizon must be >= 1")
+        _within("horizon", horizon, MAX_HORIZON, "MAX_HORIZON")
+    # every p-adic cell needs p > n + 1, so a deeper n has no admissible prime
+    _within("depth n", n_hi, MAX_PRIME, "MAX_PRIME")
+    if "lemma-2.1" in theorems:  # it classifies its sequence at max(n, horizon)
+        _within("lemma-2.1 depth n", n_hi, MAX_HORIZON, "MAX_HORIZON")
+
+
 @dataclass(frozen=True)
 class _Cell:
     theorem: str
@@ -91,7 +108,7 @@ class _Cell:
 # so a wrapper installed on those names later still sees every call.
 _THEOREMS: dict[str, tuple[tuple[str, ...], Callable[[_Cell], CongruenceReport]]] = {
     "lemma-2.1": (
-        ("sequence", "n"),
+        ("sequence", "m", "n"),
         lambda cell: verify_lemma_2_1(
             cell.sequence, cell.m, cell.n, p=cell.p, horizon=max(cell.n, cell.horizon)
         ),
@@ -151,13 +168,7 @@ class SweepConfig:
             raise ConfigInvalid(f"no primes in range {p_lo}..{p_hi}")
         if not self.c_values:
             raise ConfigInvalid("at least one c value is required")
-        if self.m < 0:
-            raise ConfigInvalid(f"m must be >= 0, got {self.m}")
-        if self.horizon < 1:
-            raise ConfigInvalid("horizon must be >= 1")
-        _within("horizon", self.horizon, MAX_HORIZON, "MAX_HORIZON")
-        if "lemma-2.1" in self.theorems:
-            _within("lemma-2.1 depth n", n_hi, MAX_LEMMA_2_1_N, "MAX_LEMMA_2_1_N")
+        _check_limits(self.theorems, n_hi, self.m, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -188,12 +199,13 @@ def _cells_for(config: SweepConfig) -> list[_Cell]:
         "p": primes_between(*config.prime_range),
         "variant": COROLLARY_VARIANTS,
         "c": config.c_values,
+        "m": (config.m,),
     }
     cells: list[_Cell] = []
     for theorem in config.theorems:
         axes = _THEOREMS[theorem][0]
         for point in itertools.product(*(values[axis] for axis in axes)):
-            cells.append(_Cell(theorem, m=config.m, horizon=config.horizon, **dict(zip(axes, point))))
+            cells.append(_Cell(theorem, horizon=config.horizon, **dict(zip(axes, point))))
     return cells
 
 
@@ -232,23 +244,26 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 # Serialisation
 
 _INT_PARAM_KEYS = ("n", "p", "e", "c", "m")
+_PARAM_KEYS = (*_INT_PARAM_KEYS, "variant")
 
 
 def _side_str(side: Residue | Fraction) -> str:
     return str(side.value) if isinstance(side, Residue) else str(side)
 
 
+def _columns(report: CongruenceReport) -> tuple[dict[str, str], str, str, str | None]:
+    """The report's params in ``_PARAM_KEYS`` order, both sides and the
+    modulus (None for an exact report) as decimal strings: what every
+    output format prints."""
+    params = {k: str(report.params[k]) for k in _PARAM_KEYS if k in report.params}
+    modulus = str(report.modulus) if report.modulus is not None else None
+    return params, _side_str(report.lhs), _side_str(report.rhs), modulus
+
+
 def _report_obj(report: CongruenceReport) -> dict[str, Any]:
-    params = {k: str(report.params[k]) for k in (*_INT_PARAM_KEYS, "variant") if k in report.params}
-    obj: dict[str, Any] = {
-        "theorem": report.theorem,
-        "sequence": report.sequence,
-        "params": params,
-        "lhs": _side_str(report.lhs),
-        "rhs": _side_str(report.rhs),
-        "modulus": str(report.modulus) if report.modulus is not None else None,
-        "pass": report.passed,
-    }
+    params, lhs, rhs, modulus = _columns(report)
+    obj: dict[str, Any] = {"theorem": report.theorem, "sequence": report.sequence, "params": params,
+                           "lhs": lhs, "rhs": rhs, "modulus": modulus, "pass": report.passed}
     if report.detail is not None:
         obj["detail"] = report.detail
     return obj
@@ -273,16 +288,13 @@ def emit_report(
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        header = ["theorem", "sequence", *_INT_PARAM_KEYS, "variant", "lhs", "rhs", "modulus", "pass"]
-        writer.writerow(header)
+        writer.writerow(["theorem", "sequence", *_PARAM_KEYS, "lhs", "rhs", "modulus", "pass"])
         for r in reports:
-            row = [r.theorem, r.sequence]
-            row += [str(r.params[k]) if k in r.params else "" for k in _INT_PARAM_KEYS]
-            row.append(r.params.get("variant", ""))
-            row += [_side_str(r.lhs), _side_str(r.rhs)]
-            row.append(str(r.modulus) if r.modulus is not None else "exact")
-            row.append("true" if r.passed else "false")
-            writer.writerow(row)
+            params, lhs, rhs, modulus = _columns(r)
+            writer.writerow(
+                [r.theorem, r.sequence, *(params.get(k, "") for k in _PARAM_KEYS),
+                 lhs, rhs, modulus or "exact", "true" if r.passed else "false"]
+            )
         return out.getvalue().encode("utf-8")
     if fmt == "text":
         return _emit_text(reports, meta)
@@ -293,18 +305,9 @@ def _emit_text(reports: list[CongruenceReport], meta: dict[str, Any] | None) -> 
     headers = ("theorem", "sequence", "params", "lhs", "rhs", "modulus", "status")
     rows = []
     for r in reports:
-        params = " ".join(f"{k}={v}" for k, v in r.params.items())
-        rows.append(
-            (
-                r.theorem,
-                r.sequence,
-                params,
-                _side_str(r.lhs),
-                _side_str(r.rhs),
-                str(r.modulus) if r.modulus is not None else "exact",
-                "PASS" if r.passed else "FAIL",
-            )
-        )
+        params, lhs, rhs, modulus = _columns(r)
+        shown = " ".join(f"{k}={v}" for k, v in params.items())
+        rows.append((r.theorem, r.sequence, shown, lhs, rhs, modulus or "exact", "PASS" if r.passed else "FAIL"))
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
     for row in rows:
@@ -425,35 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags of `verify` that only some theorems read: one the theorem does not
-# read is refused, and one left out gets this value (None: it is required).
-_VERIFY_FLAG_DEFAULTS = {"sequence": "step", "c": 1, "variant": None, "m": 2, "horizon": DEFAULT_HORIZON}
-
-# The theorems that read a flag which is not one of their grid axes.
-_NON_AXIS_READERS = {
-    "m": ("lemma-2.1",),
-    "horizon": ("lemma-2.1", "thm-1.1", "s-parity", "cor-1.2"),
-}
+# Flags of `verify` that only some theorems read, and the value one left out
+# gets (None: it is required).  A theorem reads the flags its grid axes name,
+# plus --horizon when it classifies a sequence, and refuses the others.  --p
+# is read by every theorem: lemma-2.1, which has no p axis, reports over the
+# rationals alone when --p is left out.
+_VERIFY_FLAG_DEFAULTS = {"sequence": "step", "p": None, "c": 1, "variant": None, "m": 2, "horizon": DEFAULT_HORIZON}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     axes = _THEOREMS[args.theorem][0]
-    reads = {*axes, *(flag for flag, theorems in _NON_AXIS_READERS.items() if args.theorem in theorems)}
+    reads = {*axes, "horizon"} if "sequence" in axes else set(axes)
     for flag, default in _VERIFY_FLAG_DEFAULTS.items():
         given = getattr(args, flag)
-        if flag not in reads and given is not None:
-            raise ConfigInvalid(f"--{flag} is not read by {args.theorem}")
         if flag in reads and given is None:
+            if default is None:
+                raise ConfigInvalid(f"--{flag} is required for {args.theorem}")
             setattr(args, flag, default)
-    for flag in ("p", "variant"):
-        if flag in axes and getattr(args, flag) is None:
-            raise ConfigInvalid(f"--{flag} is required for {args.theorem}")
-    if args.horizon is not None:
-        if args.horizon < 1:
-            raise ConfigInvalid("horizon must be >= 1")
-        _within("--horizon", args.horizon, MAX_HORIZON, "MAX_HORIZON")
-    if args.theorem == "lemma-2.1":
-        _within("lemma-2.1 --n", args.n, MAX_LEMMA_2_1_N, "MAX_LEMMA_2_1_N")
+        elif flag not in reads and given is not None and flag != "p":
+            raise ConfigInvalid(f"--{flag} is not read by {args.theorem}")
+    _check_limits((args.theorem,), args.n, args.m, args.horizon)
     cell = _Cell(
         theorem=args.theorem,
         sequence=SequenceSpec.builtin(args.sequence) if args.sequence else None,

@@ -55,7 +55,6 @@ __all__ = [
     "COROLLARY_VARIANTS",
     "MAX_PRIME",
     "MAX_HORIZON",
-    "MAX_LEMMA_2_1_N",
     "MAX_MATRIX_DIM",
     "verify_lemma_2_1",
     "verify_theorem_1_1",
@@ -95,12 +94,12 @@ COROLLARY_VARIANTS = ("minus_head", "minus_tail", "plus_head", "plus_tail")
 MAX_PRIME = 10**5
 
 # Sizes the command line refuses up front, each set so that the largest
-# accepted value finishes in a few seconds: the exact transform behind a
-# classification horizon and lemma 2.1's depth are quadratic in exact
-# rationals (horizon 500 or n = 500 takes about 2 s), and so is each step of
-# the matrix's row reduction (100 x 100 takes about 2 s).
+# accepted value finishes in a few seconds.  The exact transform behind a
+# classification is quadratic in exact rationals (horizon 500 takes about
+# 2 s); MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma
+# classifies its sequence at horizon max(n, horizon).  Each step of the
+# matrix's row reduction is quadratic too (100 x 100 takes about 2 s).
 MAX_HORIZON = 500
-MAX_LEMMA_2_1_N = 500
 MAX_MATRIX_DIM = 100
 
 
@@ -210,7 +209,7 @@ def verify_lemma_2_1(
     _require_prime(p)
     return _report(
         "lemma-2.1", a.describe(), mod_reduce(total, p, 1), Residue(0, p, 1), total == 0, detail,
-        n=n, m=m, p=p, e=1,
+        n=n, p=p, e=1, m=m,
     )
 
 

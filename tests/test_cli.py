@@ -56,6 +56,14 @@ def test_verify_lemma_2_1_exact_mode(capsys):
     assert "exact" in out and "PASS" in out
 
 
+def test_text_params_follow_the_csv_column_order(capsys):
+    argv = ["verify", "--theorem", "lemma-2.1", "--sequence", "fibonacci", "--n", "6", "--m", "3", "--p", "7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and " n=6 p=7 e=1 m=3 " in out
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert out.splitlines()[1] == "lemma-2.1,fibonacci,6,7,1,,3,,0,0,7,true"
+
+
 def test_sweep_thm_1_1_two_primes(capsys):
     code, out, _ = run(
         capsys, "sweep", "--theorem", "thm-1.1", "--sequence", "step",
@@ -385,7 +393,8 @@ def test_verify_reads_exactly_its_axis_flags(capsys, theorem):
         assert err == f"error: --{flag} is not read by {theorem}\n"
 
 
-# The theorems that read --m and --horizon, neither of which is a grid axis.
+# The theorems that read --m (a grid axis of lemma-2.1 alone) and --horizon
+# (read by every theorem with a sequence axis).
 _NON_AXIS_FLAGS = {
     "m": (["--m", "5"], {"lemma-2.1"}),
     "horizon": (["--horizon", "60"], {"lemma-2.1", "thm-1.1", "s-parity", "cor-1.2"}),
@@ -421,12 +430,12 @@ def test_primes_above_the_limit_are_refused(capsys):
 def test_sizes_above_the_limits_are_refused_naming_the_limit(capsys):
     assert congruence.MAX_HORIZON >= DEFAULT_HORIZON
     for argv, limit in (
-        (["verify", "--theorem", "lemma-2.1", "--n", "3000"], "MAX_LEMMA_2_1_N"),
+        (["verify", "--theorem", "lemma-2.1", "--n", "3000"], "MAX_HORIZON"),
         (["verify", "--theorem", "thm-1.1", "--n", "1", "--p", "5", "--horizon", "3000"], "MAX_HORIZON"),
         (["classify", "--sequence", "fibonacci", "--horizon", "3000"], "MAX_HORIZON"),
         (["transform", "--sequence", "step", "--horizon", "3000"], "MAX_HORIZON"),
         (["matrix", "--rows", "400", "--cols", "400"], "MAX_MATRIX_DIM"),
-        (["sweep", "--theorem", "all", "--n", "1..3000", "--primes", "5..7"], "MAX_LEMMA_2_1_N"),
+        (["sweep", "--theorem", "all", "--n", "1..3000", "--primes", "5..7"], "MAX_HORIZON"),
         (["sweep", "--theorem", "thm-1.1", "--primes", "5..7", "--horizon", "3000"], "MAX_HORIZON"),
     ):
         code, out, err = run(capsys, *argv)
@@ -446,3 +455,21 @@ def test_verify_fills_defaults_only_for_flags_the_theorem_reads(capsys):
     assert params("--theorem", "thm-3.2", "--n", "1", "--p", "7")[1]["c"] == 1
     assert params("--theorem", "thm-3.2", "--n", "1", "--p", "7", "--c", "0")[1]["c"] == 0
     assert "c" not in params("--theorem", "thm-3.3", "--n", "1", "--p", "7")[1]
+
+
+def test_verify_and_sweep_refuse_a_negative_m_with_one_message(capsys):
+    verify = run(capsys, "verify", *_LEMMA_2_1, "--m", "-1")
+    sweep = run(capsys, "sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "2..2", "--primes", "5..5",
+                "--m", "-1")
+    assert verify == sweep == (2, "", "error: m must be >= 0, got -1\n")
+
+
+def test_sweep_depth_above_every_admissible_prime_is_refused(capsys):
+    # every p-adic cell needs p > n + 1, so no prime up to MAX_PRIME admits it
+    code, out, err = run(capsys, "sweep", "--theorem", "thm-3.3", "--n", f"{MAX_PRIME + 1}..{MAX_PRIME + 1}",
+                         "--primes", "5..7")
+    assert code == 2 and out == ""
+    assert err == f"error: depth n {MAX_PRIME + 1} is above the limit MAX_PRIME={MAX_PRIME}\n"
+    code, out, _ = run(capsys, "sweep", "--theorem", "thm-3.3", "--n", f"{MAX_PRIME}..{MAX_PRIME}",
+                       "--primes", "5..7", "--format", "json")
+    assert code == 0 and parse_reports(out)[1]["skip_reasons"] == {"PrimeTooSmall": "2"}

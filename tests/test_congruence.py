@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eigensums import bernoulli, congruence, harmonic
-from eigensums.bernoulli import bernoulli_poly_eval
+from eigensums.bernoulli import bernoulli_poly_eval, bernoulli_value_mod
 from eigensums.congruence import (
     EvenDepth,
     NotInvariantMinus,
@@ -239,6 +239,23 @@ def test_weighted_sum_matches_mirror_oracle_at_large_primes():
                 assert weighted_sum_S(seq, n, p, 1).value == want, (name, n, p)
                 cells += 1
     assert cells == 56  # every builtin but signed_bernoulli, whose a_{p-1} has p in its denominator
+
+
+@pytest.mark.parametrize("p", [1009, 2003, 10007])
+def test_step_sums_match_bernoulli_closed_forms_at_large_primes(p):
+    # For step, S_n = H(1^n; p-1).  Odd n: S_n = -((n+1)/(2(n+2))) p^2 B_{p-n-2}
+    # mod p^3 (n = 1 is Glaisher's H_{p-1} = -p^2 B_{p-3}/3); even n:
+    # S_n = -p B_{p-n-1}/(n+1) mod p^2.  B_m mod p is a power sum, so the
+    # right side touches no harmonic table.
+    for n in range(1, 7):
+        if n % 2:
+            b = bernoulli_value_mod(p - n - 2, F(0), p).value
+            want = p * p * (-(n + 1) * b * pow(2 * (n + 2), -1, p) % p)
+            assert weighted_sum_S(STEP, n, p, 3).value == want, (n, p)
+        else:
+            b = bernoulli_value_mod(p - n - 1, F(0), p).value
+            want = p * (-b * pow(n + 1, -1, p) % p)
+            assert weighted_sum_S(STEP, n, p, 2).value == want, (n, p)
 
 
 def test_lemma_3_1_guard():

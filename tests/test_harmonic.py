@@ -136,6 +136,24 @@ def test_step_sums_reduce_to_plain_harmonic():
             assert tail_weighted_sum(STEP, n, p, 3) == want
 
 
+def test_tail_sum_is_signed_head_sum_mod_p():
+    # k -> p - k maps the tail sum onto the head sum: each 1/(p - k) = -1/k
+    # mod p, so the two differ by (-1)^j.
+    cells = 0
+    for name in BUILTIN_NAMES:
+        spec = SequenceSpec.builtin(name)
+        for p in primes_between(5, 199):
+            for j in range(1, min(6, p - 1) + 1):
+                try:
+                    head = weighted_sum_S(spec, j, p, 1)
+                    tail = tail_weighted_sum(spec, j, p, 1)
+                except DenominatorDivisibleByP:
+                    continue
+                assert tail.value == (-1) ** j * head.value % p, (name, p, j)
+                cells += 1
+    assert cells == 2052  # all 2,096 but signed_bernoulli at j = 1, whose a_{p-1} has p in its denominator
+
+
 def test_undefined_terms_only_raise_when_touched():
     signed = SequenceSpec.builtin("signed_bernoulli")
     # depth 1 touches a_{p-1} = +-B_{p-1}, whose denominator p divides
