@@ -13,7 +13,6 @@ from .exactnum import (
 from .seqalg import (
     BUILTIN_NAMES,
     ClosedFormData,
-    EigenClass,
     EigenKind,
     SequenceSpec,
     binomial_transform_prefix,

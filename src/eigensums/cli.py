@@ -109,9 +109,7 @@ class _Cell:
 _THEOREMS: dict[str, tuple[tuple[str, ...], Callable[[_Cell], CongruenceReport]]] = {
     "lemma-2.1": (
         ("sequence", "m", "n"),
-        lambda cell: verify_lemma_2_1(
-            cell.sequence, cell.m, cell.n, p=cell.p, horizon=max(cell.n, cell.horizon)
-        ),
+        lambda cell: verify_lemma_2_1(cell.sequence, cell.m, cell.n, p=cell.p, horizon=cell.horizon),
     ),
     "thm-1.1": (
         ("sequence", "n", "p"),
@@ -489,10 +487,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _within("--horizon", args.horizon, MAX_HORIZON, "MAX_HORIZON")
     spec = SequenceSpec.builtin(args.sequence)
     try:
-        eigen = classify_eigenspace(spec, args.horizon)
+        kind = classify_eigenspace(spec, args.horizon)
     except ValueError as exc:
         raise ConfigInvalid(f"--horizon {args.horizon}: {exc}") from exc
-    sys.stdout.write(f"{spec.describe()}: {eigen.kind.value} (horizon {eigen.horizon})\n")
+    sys.stdout.write(f"{spec.describe()}: {kind.value} (horizon {args.horizon})\n")
     return 0
 
 

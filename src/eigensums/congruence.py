@@ -94,9 +94,9 @@ COROLLARY_VARIANTS = ("minus_head", "minus_tail", "plus_head", "plus_tail")
 MAX_PRIME = 10**5
 
 # Sizes the command line refuses up front, each set so that the largest
-# accepted value finishes in a few seconds.  The exact transform behind a
-# classification is quadratic in exact rationals (horizon 500 takes about
-# 2 s); MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma
+# accepted value finishes in a few seconds.  A classification's difference
+# table is quadratic in exact rationals (`classify --horizon 500` takes 0.4-1.3 s
+# on 2 vCPUs); MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma
 # classifies its sequence at horizon max(n, horizon).  Each step of the
 # matrix's row reduction is quadratic too (100 x 100 takes about 2 s).
 MAX_HORIZON = 500
@@ -164,14 +164,10 @@ def _require_cell(n: int, p: int, bound: int, odd: bool = False) -> None:
         raise PrimeTooSmall(f"need p > {bound}, got {p}")
 
 
-def _require_minus(a: SequenceSpec, horizon: int) -> None:
-    if classify_eigenspace(a, horizon).kind is not EigenKind.MINUS:
-        raise NotInvariantMinus(f"{a.describe()} is not minus-invariant at horizon {horizon}")
-
-
-def _require_plus(a: SequenceSpec, horizon: int) -> None:
-    if classify_eigenspace(a, horizon).kind is not EigenKind.PLUS:
-        raise NotInvariantPlus(f"{a.describe()} is not plus-invariant at horizon {horizon}")
+def _require(a: SequenceSpec, kind: EigenKind, horizon: int) -> None:
+    if classify_eigenspace(a, horizon) is not kind:
+        error = NotInvariantMinus if kind is EigenKind.MINUS else NotInvariantPlus
+        raise error(f"{a.describe()} is not {kind.value}-invariant at horizon {horizon}")
 
 
 def lemma_2_1_sum(a: SequenceSpec, m: int, n: int) -> Fraction:
@@ -191,17 +187,18 @@ def verify_lemma_2_1(
     m: int,
     n: int,
     p: int | None = None,
-    horizon: int | None = None,
+    horizon: int = DEFAULT_HORIZON,
 ) -> CongruenceReport:
     """The finite binomial identity that characterises minus-invariance.
 
     This is an identity over the rationals: the sum must vanish exactly.
     When a prime is supplied the report carries both sides reduced mod p
     for uniform serialisation, but the pass flag is always the exact test.
+    The sequence is classified at horizon max(n, horizon), past every term read.
     """
-    if horizon is None:
-        horizon = max(n, DEFAULT_HORIZON)
-    _require_minus(a, horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    _require(a, EigenKind.MINUS, max(n, horizon))
     total = lemma_2_1_sum(a, m, n)
     detail = None if total == 0 else f"exact value {total}"
     if p is None:
@@ -221,7 +218,7 @@ def verify_theorem_1_1(
     Requires odd n, prime p > n+1 and a minus-invariant sequence.
     """
     _require_cell(n, p, n + 1, odd=True)
-    _require_minus(a, horizon)
+    _require(a, EigenKind.MINUS, horizon)
     lhs = weighted_sum_S(a, n, p, 3)
     scale = mod_reduce(Fraction(p * (n + 1), 2), p, 3)
     rhs = scale * weighted_sum_S(a, n + 1, p, 3)
@@ -233,7 +230,7 @@ def verify_S_parity(
 ) -> CongruenceReport:
     """The parity chain: S_{2i-1} = 0 (mod p) and S_{2i-1} = i*p*S_{2i} (mod p^3)."""
     _require_cell(i, p, 2 * i + 1)
-    _require_minus(a, horizon)
+    _require(a, EigenKind.MINUS, horizon)
     odd_sum = weighted_sum_S(a, 2 * i - 1, p, 3)
     even_sum = weighted_sum_S(a, 2 * i, p, 3)
     rhs = Residue(i * p, p, 3) * even_sum
@@ -257,10 +254,7 @@ def verify_corollary_1_2(
     if variant not in COROLLARY_VARIANTS:
         raise ValueError(f"variant must be one of {COROLLARY_VARIANTS}")
     _require_cell(n, p, n + 1, odd=True)
-    if variant.startswith("minus"):
-        _require_minus(a, horizon)
-    else:
-        _require_plus(a, horizon)
+    _require(a, EigenKind.MINUS if variant.startswith("minus") else EigenKind.PLUS, horizon)
     evaluate = {
         "minus_head": weighted_sum_S,
         "minus_tail": tail_weighted_sum,

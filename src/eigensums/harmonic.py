@@ -107,16 +107,19 @@ class HarmonicTable:
     _rows: tuple[list[int], ...] = field(repr=False)  # the store's rows, mod p^MAX_EXPONENT
 
     def value(self, r: int, j: int) -> Residue:
-        if j > self.j_max:
-            raise ValueError(f"table only holds orders up to {self.j_max}")
-        return Residue(self._rows[j][r], self.prime, self.exponent)
+        if not 0 <= r < self.prime:
+            raise ValueError(f"table only holds r in 0..{self.prime - 1}, got {r}")
+        return Residue(self._depth(j)[r], self.prime, self.exponent)
 
     def row(self, j: int) -> list[int]:
         """H_r^(j) for r < p as ints mod p^e, indexed by r."""
-        if j > self.j_max:
-            raise ValueError(f"table only holds orders up to {self.j_max}")
         modulus = self.prime**self.exponent
-        return [h % modulus for h in self._rows[j]]
+        return [h % modulus for h in self._depth(j)]
+
+    def _depth(self, j: int) -> list[int]:
+        if not 0 <= j <= self.j_max:
+            raise ValueError(f"table only holds orders 0..{self.j_max}, got {j}")
+        return self._rows[j]
 
 
 def _check(p: int, e: int, order: int, lowest: int) -> None:

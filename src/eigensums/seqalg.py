@@ -10,6 +10,7 @@ c*a_{k-1} (a_0 = 0) together with its closed form in Q(sqrt(1+4c)).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,7 +25,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "DEFAULT_HORIZON",
     "EigenKind",
-    "EigenClass",
     "SequenceSpec",
     "ClosedFormData",
     "QuadExt",
@@ -41,6 +41,8 @@ __all__ = [
 # exact transform instant.
 DEFAULT_HORIZON = 48
 
+_GROWTH = threading.Lock()  # held while a check is made or extended: no term is pushed twice
+
 
 class ZeroCNegativeIndex(ValueError):
     """Negative recurrence indices requested with c = 0 (no inverse exists)."""
@@ -55,43 +57,52 @@ def binom(n: int, k: int) -> int:
     return (-1) ** k * comb(k - n - 1, k)
 
 
-def binomial_transform_prefix(a: Sequence[Fraction | int]) -> list[Fraction]:
-    """T(a)_n = sum_{k<=n} C(n,k) (-1)^k a_k for every n covered by the input."""
-    vals = [Fraction(x) for x in a]
-    if not vals:
-        raise ValueError("need at least one term")
-    out: list[Fraction] = []
-    for n in range(len(vals)):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc += (-1) ** k * comb(n, k) * vals[k]
-        out.append(acc)
-    return out
-
-
 class EigenKind(Enum):
     PLUS = "plus"
     MINUS = "minus"
     NEITHER = "neither"
 
 
-@dataclass(frozen=True, slots=True)
-class EigenClass:
-    """Outcome of an eigenspace check, valid up to the stated horizon."""
+class _EigenCheck:
+    """The right edge of a difference table, ``edge[i]`` = Delta^i a_{m-1-i}
+    after m terms, and for each sign how many leading k have T(a)_k = +-a_k.
+    ``image`` holds T(a) of the terms given to the constructor."""
 
-    kind: EigenKind
-    horizon: int
+    def __init__(self, terms: Sequence[Fraction | int] = ()) -> None:
+        self.edge: list[Fraction] = []
+        self.plus = self.minus = 0
+        self.image = [self.push(Fraction(x)) for x in terms]
+
+    def push(self, term: Fraction) -> Fraction:
+        """Append a_m and return T(a)_m = (-1)^m Delta^m a_0."""
+        m, diff = len(self.edge), term
+        for i, below in enumerate(self.edge):  # Delta^i a_{m-i} = Delta^(i-1) (a_{m-i+1} - a_{m-i})
+            self.edge[i], diff = diff, diff - below
+        self.edge.append(diff)
+        image = -diff if m % 2 else diff
+        self.plus += self.plus == m and image == term
+        self.minus += self.minus == m and image == -term
+        return image
+
+    def kind(self, length: int) -> EigenKind:
+        """The eigenspace of the prefix a_0..a_{length-1}."""
+        if self.plus >= length:
+            return EigenKind.PLUS
+        return EigenKind.MINUS if self.minus >= length else EigenKind.NEITHER
+
+
+def binomial_transform_prefix(a: Sequence[Fraction | int]) -> list[Fraction]:
+    """T(a)_n = sum_{k<=n} C(n,k) (-1)^k a_k for every n covered by the input."""
+    if not a:
+        raise ValueError("need at least one term")
+    return _EigenCheck(a).image
 
 
 def classify_prefix(a: Sequence[Fraction | int]) -> EigenKind:
     """Compare T(a) against +a and -a exactly over the given prefix."""
-    vals = [Fraction(x) for x in a]
-    transformed = binomial_transform_prefix(vals)
-    if transformed == vals:
-        return EigenKind.PLUS
-    if transformed == [-x for x in vals]:
-        return EigenKind.MINUS
-    return EigenKind.NEITHER
+    if not a:
+        raise ValueError("need at least one term")
+    return _EigenCheck(a).kind(len(a))
 
 
 _LEGENDRE3 = (0, 1, -1)  # Legendre symbol (k|3) indexed by k mod 3
@@ -265,16 +276,23 @@ def _terms_cached(spec: SequenceSpec, n_max: int) -> tuple[Fraction, ...]:
     return tuple(second_order_terms(spec.c, spec.a1, 0, n_max))
 
 
-def classify_eigenspace(a: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> EigenClass:
-    """Classify the sequence against the transform up to the horizon."""
+def classify_eigenspace(a: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> EigenKind:
+    """Classify a_0..a_horizon against the transform.  T(a)_k reads only
+    a_0..a_k, so each sequence has one check, extended only past the terms
+    it holds, that answers every horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _classify_cached(a, horizon)
+    with _GROWTH:
+        check = _eigen_check(a)
+        if len(check.edge) <= horizon:
+            for term in a.terms(horizon)[len(check.edge) :]:
+                check.push(term)
+        return check.kind(horizon + 1)
 
 
 @lru_cache(maxsize=256)
-def _classify_cached(a: SequenceSpec, horizon: int) -> EigenClass:
-    return EigenClass(classify_prefix(a.terms(horizon)), horizon)
+def _eigen_check(a: SequenceSpec) -> _EigenCheck:
+    return _EigenCheck()
 
 
 def shift_weight_map(a: SequenceSpec, horizon: int) -> list[Fraction]:

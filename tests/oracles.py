@@ -7,7 +7,26 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from eigensums.seqalg import SequenceSpec
+from eigensums.seqalg import EigenKind, SequenceSpec
+
+
+def binomial_transform_literal(a: list[Fraction | int]) -> list[Fraction]:
+    """T(a)_n = sum_{k<=n} C(n,k) (-1)^k a_k for every n < len(a), summed
+    term by term with one binomial coefficient each."""
+    from math import comb
+
+    return [
+        sum((Fraction((-1) ** k * comb(n, k)) * a[k] for k in range(n + 1)), Fraction(0))
+        for n in range(len(a))
+    ]
+
+
+def eigen_kind_literal(a: list[Fraction | int]) -> EigenKind:
+    """PLUS if T(a) = a, else MINUS if T(a) = -a, else NEITHER, by the literal transform."""
+    image = binomial_transform_literal(a)
+    if image == [Fraction(x) for x in a]:
+        return EigenKind.PLUS
+    return EigenKind.MINUS if image == [-Fraction(x) for x in a] else EigenKind.NEITHER
 
 
 def brute_variant(a: SequenceSpec, n: int, p: int, variant: str) -> Fraction:

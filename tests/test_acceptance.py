@@ -59,7 +59,7 @@ def _line(num: int, ok: bool, desc: str) -> None:
 def test_criterion_01_eigenspace_roster():
     start = perf_counter()
     got = {
-        name: classify_eigenspace(SequenceSpec.builtin(name), 48).kind
+        name: classify_eigenspace(SequenceSpec.builtin(name), 48)
         for name in BUILTIN_NAMES
     }
     elapsed = perf_counter() - start

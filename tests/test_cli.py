@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigensums import congruence
+from eigensums import congruence, seqalg
 from eigensums.cli import (
     _THEOREMS,
     THEOREM_IDS,
@@ -473,3 +473,22 @@ def test_sweep_depth_above_every_admissible_prime_is_refused(capsys):
     code, out, _ = run(capsys, "sweep", "--theorem", "thm-3.3", "--n", f"{MAX_PRIME}..{MAX_PRIME}",
                        "--primes", "5..7", "--format", "json")
     assert code == 0 and parse_reports(out)[1]["skip_reasons"] == {"PrimeTooSmall": "2"}
+
+
+def test_lemma_sweep_pushes_each_term_once(capsys, monkeypatch):
+    # Lemma 2.1 classifies at max(n, horizon) for each n.  The shared check
+    # pushes a_0..a_150 once each, where a check per horizon would take
+    # about 10**4 transform terms.
+    pushes = []
+    push = seqalg._EigenCheck.push
+
+    def counted(check, term):
+        pushes.append(term)
+        return push(check, term)
+
+    monkeypatch.setattr(seqalg._EigenCheck, "push", counted)
+    seqalg._eigen_check.cache_clear()
+    argv = ["sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "1..150", "--primes", "5..5"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.count("\n") == 151
+    assert len(pushes) == 151

@@ -70,6 +70,13 @@ def test_table_preconditions():
         harmonic_table(8, 2, 1)
     with pytest.raises(ValueError):
         harmonic_table(5, 5, 1)
+    table = harmonic_table(7, 2, 3)
+    for r, j in ((3, -1), (3, 3), (7, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            table.value(r, j)
+    for j in (-1, 3):
+        with pytest.raises(ValueError):
+            table.row(j)
 
 
 def test_weighted_sum_worked_examples():

@@ -1,9 +1,13 @@
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigensums import seqalg
 from eigensums.bernoulli import bernoulli_numbers
 from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
 from eigensums.seqalg import (
@@ -19,6 +23,8 @@ from eigensums.seqalg import (
     second_order_terms,
     shift_weight_map,
 )
+
+from oracles import binomial_transform_literal, eigen_kind_literal
 
 F = Fraction
 
@@ -54,9 +60,7 @@ EXPECTED_CLASS = {
 
 def test_builtin_roster_classifies_as_expected():
     for name in BUILTIN_NAMES:
-        eigen = classify_eigenspace(SequenceSpec.builtin(name), 48)
-        assert eigen.kind is EXPECTED_CLASS[name], name
-        assert eigen.horizon == 48
+        assert classify_eigenspace(SequenceSpec.builtin(name), 48) is EXPECTED_CLASS[name], name
 
 
 def test_delta_sequence_is_neither():
@@ -155,6 +159,94 @@ def test_eigenspace_decomposition(a):
         assert classify_prefix(plus_part) is EigenKind.PLUS
     if any(minus_part):
         assert classify_prefix(minus_part) is EigenKind.MINUS
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_prefixes)
+def test_transform_matches_literal_sum(a):
+    assert binomial_transform_prefix(a) == binomial_transform_literal(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=_prefixes, sign=st.sampled_from((1, -1)), data=st.data())
+def test_classify_prefix_locates_a_perturbed_term(b, sign, data):
+    # An eigen-prefix a = (b +- T(b))/2 with a_k moved by delta.  T(a')_k
+    # moves by (-1)^k delta, so a' keeps a's sign up to length k+1 exactly
+    # when (-1)^k is that sign, and T(a')_{k+1} moves by (k+1)(-1)^k delta,
+    # so no longer prefix has it (the other sign is possible, as for
+    # a = (0, 0, 1), a' = (0, 1, 1)).  One check filled with all of a'
+    # answers every length like a fresh check of that prefix.
+    kind = EigenKind.PLUS if sign == 1 else EigenKind.MINUS
+    a = [(F(x) + sign * t) / 2 for x, t in zip(b, binomial_transform_literal(b))]
+    k = data.draw(st.integers(0, len(a) - 1), label="k")
+    a[k] += data.draw(st.fractions(-5, 5, max_denominator=7).filter(bool), label="delta")
+    whole = seqalg._EigenCheck(a)
+    for length in range(1, len(a) + 1):
+        got = classify_prefix(a[:length])
+        assert got is eigen_kind_literal(a[:length]) is whole.kind(length), length
+        if length <= k or (length == k + 1 and (-1) ** k == sign):
+            assert got is (kind if any(a[:length]) else EigenKind.PLUS), length
+        else:
+            assert got is not kind, length
+
+
+_CHECKED_SPECS = [SequenceSpec.builtin(name) for name in BUILTIN_NAMES] + [
+    SequenceSpec.second_order(c, a1) for c in range(-3, 4) for a1 in (F(1), F(2, 3))
+]
+_HORIZONS = (1, 2, 3, 7, 8, 20, 47, 48, 60)
+
+
+@pytest.mark.parametrize(
+    "horizons",
+    [_HORIZONS, _HORIZONS[::-1], (8, 8, 48, 3, 48, 60, 1, 60, 20, 7, 2, 47, 8, 1)],
+    ids=["ascending", "descending", "repeated"],
+)
+def test_shared_check_answers_like_a_fresh_one(horizons):
+    seqalg._eigen_check.cache_clear()
+    for h in horizons:
+        for spec in _CHECKED_SPECS:
+            assert classify_eigenspace(spec, h) is classify_prefix(spec.terms(h)), (spec.describe(), h)
+
+
+def test_shared_check_pushes_each_term_once_under_threads(monkeypatch):
+    # Eight threads start together with no check cached; each sequence must
+    # get one check, and each of its terms must be pushed exactly once.
+    specs, top, workers = _CHECKED_SPECS[:4], 120, 8
+    cells = [(spec, h) for h in range(1, top + 1, 7) for spec in specs] + [(spec, top) for spec in specs]
+    pushed = Counter()
+    push = seqalg._EigenCheck.push
+
+    def counted(check, term):
+        pushed[id(check), len(check.edge)] += 1
+        return push(check, term)
+
+    monkeypatch.setattr(seqalg._EigenCheck, "push", counted)
+    seqalg._eigen_check.cache_clear()
+    start = threading.Barrier(workers, timeout=60)
+    results = [None] * workers
+
+    def work(i):
+        # each thread starts at its own cell; odd threads walk the horizons downwards
+        shift = i * len(cells) // workers
+        order = cells[shift:] + cells[:shift]
+        start.wait()
+        results[i] = {cell: classify_eigenspace(*cell) for cell in (order[::-1] if i % 2 else order)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so extensions interleave
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    checks = {id(seqalg._eigen_check(spec)) for spec in specs}
+    assert pushed == Counter((check, i) for check in checks for i in range(top + 1))
+    serial = {cell: classify_prefix(cell[0].terms(cell[1])) for cell in cells}
+    assert all(result == serial for result in results)
 
 
 def _reduced_or_none(q: Fraction, p: int, e: int) -> int | None:
