@@ -29,11 +29,13 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from math import prod
+from typing import Any, Callable, Iterable, Sequence
 
 from .centralfact import RationalMatrix, coefficient_matrix, row_reduce
 from .congruence import (
     COROLLARY_VARIANTS,
+    MAX_CELLS,
     MAX_HORIZON,
     MAX_MATRIX_DIM,
     MAX_PRIME,
@@ -139,7 +141,7 @@ class SweepConfig:
     sequences: tuple[str, ...]
     n_range: tuple[int, int]
     prime_range: tuple[int, int]
-    c_values: tuple[int, ...] = (1,)
+    c_values: Sequence[int] = (1,)
     m: int = 2
     horizon: int = DEFAULT_HORIZON
 
@@ -167,6 +169,9 @@ class SweepConfig:
         if not self.c_values:
             raise ConfigInvalid("at least one c value is required")
         _check_limits(self.theorems, n_hi, self.m, self.horizon)
+        values = _axis_values(self)
+        cells = sum(prod(len(values[axis]) for axis in _THEOREMS[t][0]) for t in self.theorems)
+        _within("cell count", cells, MAX_CELLS, "MAX_CELLS")
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,9 @@ class SweepResult:
         }
 
 
-def _cells_for(config: SweepConfig) -> list[_Cell]:
-    values = {
+def _axis_values(config: SweepConfig) -> dict[str, Sequence]:
+    """The values a sweep crosses on each grid axis, none of them built cell by cell."""
+    return {
         "sequence": [SequenceSpec.builtin(name) for name in config.sequences],
         "n": range(config.n_range[0], config.n_range[1] + 1),
         "p": primes_between(*config.prime_range),
@@ -199,6 +205,10 @@ def _cells_for(config: SweepConfig) -> list[_Cell]:
         "c": config.c_values,
         "m": (config.m,),
     }
+
+
+def _cells_for(config: SweepConfig) -> list[_Cell]:
+    values = _axis_values(config)
     cells: list[_Cell] = []
     for theorem in config.theorems:
         axes = _THEOREMS[theorem][0]
@@ -361,11 +371,11 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, what: str) -> Sequence[int]:
     try:
         if ".." in text:
             lo, hi = _parse_range(text, what)
-            return tuple(range(lo, hi + 1))
+            return range(lo, hi + 1)
         return tuple(int(part) for part in text.split(","))
     except (ValueError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"cannot parse {what} list {text!r}") from exc

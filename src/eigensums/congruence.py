@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .bernoulli import bernoulli_times_p_mod_p2, bernoulli_value_mod
@@ -41,7 +42,6 @@ from .seqalg import (
     DEFAULT_HORIZON,
     EigenKind,
     SequenceSpec,
-    binom,
     classify_eigenspace,
 )
 
@@ -56,6 +56,7 @@ __all__ = [
     "MAX_PRIME",
     "MAX_HORIZON",
     "MAX_MATRIX_DIM",
+    "MAX_CELLS",
     "verify_lemma_2_1",
     "verify_theorem_1_1",
     "verify_S_parity",
@@ -95,12 +96,17 @@ MAX_PRIME = 10**5
 
 # Sizes the command line refuses up front, each set so that the largest
 # accepted value finishes in a few seconds.  A classification's difference
-# table is quadratic in exact rationals (`classify --horizon 500` takes 0.4-1.3 s
-# on 2 vCPUs); MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma
-# classifies its sequence at horizon max(n, horizon).  Each step of the
-# matrix's row reduction is quadratic too (100 x 100 takes about 2 s).
+# table is quadratic in exact terms (`classify --horizon 500` takes 0.3 s for
+# an integer sequence and up to 2 s for a rational one on 2 vCPUs).
+# MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma classifies
+# its sequence at horizon max(n, horizon) and sums n+1 terms per n
+# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 5 s).
+# Each step of the matrix's row reduction is quadratic too (100 x 100 takes
+# about 2 s).  MAX_CELLS bounds the cells of one sweep, counted from its
+# axes before any is built, so a huge grid is refused, not run out of memory.
 MAX_HORIZON = 500
 MAX_MATRIX_DIM = 100
+MAX_CELLS = 10**5
 
 
 @dataclass(frozen=True)
@@ -175,11 +181,15 @@ def lemma_2_1_sum(a: SequenceSpec, m: int, n: int) -> Fraction:
     if m < 0 or n < 0:
         raise ValueError("need m >= 0 and n >= 0")
     terms = a.terms(n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        coeff = binom((m - 1) * n + k - 1, k) + (-1) ** (n - k) * binom(m * n, k)
-        total += coeff * terms[n - k]
-    return total
+    den = lcm(*(t.denominator for t in terms))
+    # C(N+k-1, k) = N(N+1)...(N+k-1)/k! with N = (m-1)n, which holds for N <= 0
+    # too, and C(mn, k) = mn(mn-1)...(mn-k+1)/k!, each an exact step from k
+    total, rising, falling = 0, 1, 1
+    for k, t in enumerate(reversed(terms)):
+        total += (rising + (-1) ** (n - k) * falling) * t.numerator * (den // t.denominator)
+        rising = rising * ((m - 1) * n + k) // (k + 1)
+        falling = falling * (m * n - k) // (k + 1)
+    return Fraction(total, den)
 
 
 def verify_lemma_2_1(

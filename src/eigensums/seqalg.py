@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count, islice, repeat
 from math import comb
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
-from .bernoulli import bernoulli_numbers
+from .bernoulli import bernoulli_number
 from .exactnum import factorials_mod, is_prime, polymul_mod
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
 # exact transform instant.
 DEFAULT_HORIZON = 48
 
-_GROWTH = threading.Lock()  # held while a check is made or extended: no term is pushed twice
+_GROWTH = threading.Lock()  # held while a prefix is made or extended: no term is made or pushed twice
 
 
 class ZeroCNegativeIndex(ValueError):
@@ -69,11 +70,11 @@ class _EigenCheck:
     ``image`` holds T(a) of the terms given to the constructor."""
 
     def __init__(self, terms: Sequence[Fraction | int] = ()) -> None:
-        self.edge: list[Fraction] = []
+        self.edge: list[Fraction | int] = []
         self.plus = self.minus = 0
         self.image = [self.push(Fraction(x)) for x in terms]
 
-    def push(self, term: Fraction) -> Fraction:
+    def push(self, term: Fraction | int) -> Fraction | int:
         """Append a_m and return T(a)_m = (-1)^m Delta^m a_0."""
         m, diff = len(self.edge), term
         for i, below in enumerate(self.edge):  # Delta^i a_{m-i} = Delta^(i-1) (a_{m-i+1} - a_{m-i})
@@ -107,43 +108,13 @@ def classify_prefix(a: Sequence[Fraction | int]) -> EigenKind:
 
 _LEGENDRE3 = (0, 1, -1)  # Legendre symbol (k|3) indexed by k mod 3
 
-BUILTIN_NAMES = (
-    "step",
-    "fibonacci",
-    "lucas",
-    "half_power",
-    "signed_bernoulli",
-    "weighted_catalan",
-    "legendre3_signed",
-    "power2_alt",
-)
 
-
-def _builtin_terms(name: str, n_max: int) -> list[Fraction]:
-    if name == "step":
-        return [Fraction(0)] + [Fraction(1)] * n_max
-    if name == "fibonacci":
-        out = [0, 1]
-        while len(out) <= n_max:
-            out.append(out[-1] + out[-2])
-        return [Fraction(x) for x in out[: n_max + 1]]
-    if name == "lucas":
-        out = [2, 1]
-        while len(out) <= n_max:
-            out.append(out[-1] + out[-2])
-        return [Fraction(x) for x in out[: n_max + 1]]
-    if name == "half_power":
-        return [Fraction(1, 2**k) for k in range(n_max + 1)]
-    if name == "signed_bernoulli":
-        return [(-1) ** k * b for k, b in enumerate(bernoulli_numbers(n_max))]
-    if name == "weighted_catalan":
-        # (n+1) * Catalan(n) / 4^n collapses to the central binomial over 4^n.
-        return [Fraction(comb(2 * k, k), 4**k) for k in range(n_max + 1)]
-    if name == "legendre3_signed":
-        return [Fraction((-1) ** (k - 1) * _LEGENDRE3[k % 3]) for k in range(n_max + 1)]
-    if name == "power2_alt":
-        return [Fraction(2**k - (-1) ** k) for k in range(n_max + 1)]
-    raise ValueError(f"unknown builtin sequence {name!r}")
+def _recurrence(a0, a1, c: int) -> Iterator:
+    """a_0, a_1, ... of a_{k+1} = a_k + c*a_{k-1}, without end."""
+    prev, cur = a0, a1
+    while True:
+        yield prev
+        prev, cur = cur, cur + c * prev
 
 
 def _recurrence_mod(a0: int, a1: int, c: int, count: int, m: int) -> tuple[int, ...]:
@@ -202,16 +173,23 @@ def _signed_bernoulli_mod(p: int, m: int) -> tuple[int | None, ...]:
     return signed + (None,)
 
 
-_BUILTIN_TERMS_MOD = {
-    "step": lambda p, m: (0,) + (1,) * (p - 1),
-    "fibonacci": lambda p, m: _recurrence_mod(0, 1, 1, p, m),
-    "lucas": lambda p, m: _recurrence_mod(2, 1, 1, p, m),
-    "half_power": _half_power_mod,
-    "signed_bernoulli": _signed_bernoulli_mod,
-    "weighted_catalan": _weighted_catalan_mod,
-    "legendre3_signed": lambda p, m: tuple((-1) ** (k + 1) * _LEGENDRE3[k % 3] % m for k in range(p)),
-    "power2_alt": lambda p, m: _recurrence_mod(0, 3, 2, p, m),  # 2^k - (-1)^k
+# name -> (a_0, a_1, ... exactly, without end; (p, p^e) -> a_0..a_{p-1} mod p^e)
+_BUILTINS: dict[str, tuple[Callable[[], Iterator], Callable[[int, int], tuple[int | None, ...]]]] = {
+    "step": (lambda: chain((0,), repeat(1)), lambda p, m: (0,) + (1,) * (p - 1)),
+    "fibonacci": (lambda: _recurrence(0, 1, 1), lambda p, m: _recurrence_mod(0, 1, 1, p, m)),
+    "lucas": (lambda: _recurrence(2, 1, 1), lambda p, m: _recurrence_mod(2, 1, 1, p, m)),
+    "half_power": (lambda: (Fraction(1, 2**k) for k in count()), _half_power_mod),
+    "signed_bernoulli": (lambda: ((-1) ** k * bernoulli_number(k) for k in count()), _signed_bernoulli_mod),
+    # (n+1) * Catalan(n) / 4^n collapses to the central binomial over 4^n
+    "weighted_catalan": (lambda: (Fraction(comb(2 * k, k), 4**k) for k in count()), _weighted_catalan_mod),
+    # (-1)^(k-1) (k|3): the c = -1 recurrence exactly, the Legendre symbol mod p^e
+    "legendre3_signed": (
+        lambda: _recurrence(0, 1, -1),
+        lambda p, m: tuple((-1) ** (k + 1) * _LEGENDRE3[k % 3] % m for k in range(p)),
+    ),
+    "power2_alt": (lambda: _recurrence(0, 3, 2), lambda p, m: _recurrence_mod(0, 3, 2, p, m)),  # 2^k - (-1)^k
 }
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +204,7 @@ class SequenceSpec:
 
     @classmethod
     def builtin(cls, name: str) -> SequenceSpec:
-        if name not in BUILTIN_NAMES:
+        if name not in _BUILTINS:
             raise ValueError(f"unknown builtin sequence {name!r}")
         return cls(kind="builtin", name=name)
 
@@ -241,7 +219,10 @@ class SequenceSpec:
 
     def terms(self, n_max: int) -> tuple[Fraction, ...]:
         """Exact terms a_0..a_{n_max}."""
-        return _terms_cached(self, n_max)
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        with _GROWTH:
+            return tuple(_prefix(self).extend(n_max + 1)[: n_max + 1])
 
     def terms_mod(self, p: int, e: int = 1) -> tuple[int | None, ...]:
         """a_0..a_{p-1} reduced into Z/p^e as ints in [0, p^e), with None
@@ -257,7 +238,7 @@ class SequenceSpec:
             raise ValueError(f"exponent must be >= 1, got {e}")
         m = p**e
         if self.kind == "builtin":
-            return _BUILTIN_TERMS_MOD[self.name](p, m)
+            return _BUILTINS[self.name][1](p, m)
         num, den = self.a1.as_integer_ratio()
         if den % p:
             return _recurrence_mod(0, num * pow(den, -1, m), self.c, p, m)
@@ -267,32 +248,41 @@ class SequenceSpec:
         )
 
 
-@lru_cache(maxsize=256)
-def _terms_cached(spec: SequenceSpec, n_max: int) -> tuple[Fraction, ...]:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if spec.kind == "builtin":
-        return tuple(_builtin_terms(spec.name, n_max))
-    return tuple(second_order_terms(spec.c, spec.a1, 0, n_max))
+class _Prefix:
+    """The exact terms of one sequence generated so far, each made once,
+    and the eigenspace check over the first ``len(check.edge)`` of them.
+    Extended only under ``_GROWTH``: a generator is not thread-safe."""
+
+    def __init__(self, spec: SequenceSpec) -> None:
+        builtin = spec.kind == "builtin"
+        self.source = _BUILTINS[spec.name][0]() if builtin else _recurrence(Fraction(0), spec.a1, spec.c)
+        self.terms: list[Fraction] = []
+        self.check = _EigenCheck()
+
+    def extend(self, length: int) -> list[Fraction]:
+        """Generate terms up to a_{length-1}; return every term held."""
+        missing = length - len(self.terms)
+        if missing > 0:
+            self.terms.extend(Fraction(t) for t in islice(self.source, missing))
+        return self.terms
+
+
+_prefix = lru_cache(maxsize=256)(_Prefix)  # one record per sequence
 
 
 def classify_eigenspace(a: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> EigenKind:
     """Classify a_0..a_horizon against the transform.  T(a)_k reads only
     a_0..a_k, so each sequence has one check, extended only past the terms
-    it holds, that answers every horizon."""
+    it holds, that answers every horizon.  Integral terms go in as ints,
+    which the difference table subtracts without a gcd."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     with _GROWTH:
-        check = _eigen_check(a)
-        if len(check.edge) <= horizon:
-            for term in a.terms(horizon)[len(check.edge) :]:
-                check.push(term)
+        prefix = _prefix(a)
+        check = prefix.check
+        for t in prefix.extend(horizon + 1)[len(check.edge) : horizon + 1]:
+            check.push(t.numerator if t.denominator == 1 else t)
         return check.kind(horizon + 1)
-
-
-@lru_cache(maxsize=256)
-def _eigen_check(a: SequenceSpec) -> _EigenCheck:
-    return _EigenCheck()
 
 
 def shift_weight_map(a: SequenceSpec, horizon: int) -> list[Fraction]:
@@ -315,10 +305,7 @@ def second_order_terms(
         raise ValueError("k_min must be <= k_max")
     if k_min < 0 and c == 0:
         raise ZeroCNegativeIndex("negative indices need c != 0")
-    a1 = Fraction(a1)
-    fwd = [Fraction(0), a1]
-    for _ in range(max(k_max, -k_min, 1) - 1):
-        fwd.append(fwd[-1] + c * fwd[-2])
+    fwd = list(islice(_recurrence(Fraction(0), Fraction(a1), c), max(k_max, -k_min, 1) + 1))
 
     def term(k: int) -> Fraction:
         if k >= 0:

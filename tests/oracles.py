@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from eigensums.seqalg import EigenKind, SequenceSpec
+from eigensums.seqalg import EigenKind, SequenceSpec, binom
 
 
 def binomial_transform_literal(a: list[Fraction | int]) -> list[Fraction]:
@@ -27,6 +27,16 @@ def eigen_kind_literal(a: list[Fraction | int]) -> EigenKind:
     if image == [Fraction(x) for x in a]:
         return EigenKind.PLUS
     return EigenKind.MINUS if image == [-Fraction(x) for x in a] else EigenKind.NEITHER
+
+
+def lemma_2_1_sum_literal(a: SequenceSpec, m: int, n: int) -> Fraction:
+    """sum_{k<=n} [C((m-1)n+k-1, k) + (-1)^(n-k) C(mn, k)] a_{n-k}, with two
+    generalised binomial coefficients per term."""
+    terms = a.terms(n)
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += (binom((m - 1) * n + k - 1, k) + (-1) ** (n - k) * binom(m * n, k)) * terms[n - k]
+    return total
 
 
 def brute_variant(a: SequenceSpec, n: int, p: int, variant: str) -> Fraction:

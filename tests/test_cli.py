@@ -1,4 +1,6 @@
 import json
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -437,8 +439,13 @@ def test_sizes_above_the_limits_are_refused_naming_the_limit(capsys):
         (["matrix", "--rows", "400", "--cols", "400"], "MAX_MATRIX_DIM"),
         (["sweep", "--theorem", "all", "--n", "1..3000", "--primes", "5..7"], "MAX_HORIZON"),
         (["sweep", "--theorem", "thm-1.1", "--primes", "5..7", "--horizon", "3000"], "MAX_HORIZON"),
+        # each value within its own limit, but 10**9 and 7.7 * 10**9 cells: refused before any is built
+        (["sweep", "--theorem", "thm-3.2", "--n", "1..1", "--primes", "5..5", "--c=1..1000000000"], "MAX_CELLS"),
+        (["sweep", "--theorem", "thm-1.1", "--n", "1..99999", "--primes", "5..99999"], "MAX_CELLS"),
     ):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and f"{limit}={getattr(congruence, limit)}" in err, argv
         assert err.count("\n") == 1
@@ -476,9 +483,19 @@ def test_sweep_depth_above_every_admissible_prime_is_refused(capsys):
 
 
 def test_lemma_sweep_pushes_each_term_once(capsys, monkeypatch):
-    # Lemma 2.1 classifies at max(n, horizon) for each n.  The shared check
-    # pushes a_0..a_150 once each, where a check per horizon would take
-    # about 10**4 transform terms.
+    # Lemma 2.1 classifies at max(n, horizon) and sums a_0..a_n for each n.
+    # The shared prefix generates a_0..a_150 once each and its check pushes
+    # each once, where a check per horizon would take about 10**4 transform
+    # terms.
+    generated = Counter()
+    source, terms_mod = seqalg._BUILTINS["step"]
+
+    def counted_source():
+        for term in source():
+            generated["step"] += 1
+            yield term
+
+    monkeypatch.setitem(seqalg._BUILTINS, "step", (counted_source, terms_mod))
     pushes = []
     push = seqalg._EigenCheck.push
 
@@ -487,8 +504,9 @@ def test_lemma_sweep_pushes_each_term_once(capsys, monkeypatch):
         return push(check, term)
 
     monkeypatch.setattr(seqalg._EigenCheck, "push", counted)
-    seqalg._eigen_check.cache_clear()
+    seqalg._prefix.cache_clear()
     argv = ["sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "1..150", "--primes", "5..5"]
     code, out, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0 and out.count("\n") == 151
     assert len(pushes) == 151
+    assert generated == Counter(step=151)

@@ -28,6 +28,7 @@ from oracles import (
     brute_variant,
     harmonic_rows_exact,
     legendre_symbol,
+    lemma_2_1_sum_literal,
     lemma_3_1_mirror_exact,
     lemma_3_1_mirror_horner,
     lemma_3_1_sides_exact,
@@ -49,6 +50,19 @@ def test_lemma_2_1_hand_expansion():
     report = verify_lemma_2_1(STEP, 2, 2)
     assert report.passed and report.lhs == 0 and report.modulus is None
     assert lemma_2_1_sum(STEP, 2, 2) == 2 * 1 - 2 * 1 + 9 * 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SequenceSpec.builtin(name) for name in BUILTIN_NAMES]
+    + [SequenceSpec.second_order(c, a1) for c in range(-3, 4) for a1 in (1, F(1, 2))],
+    ids=lambda s: s.describe(),
+)
+def test_lemma_2_1_sum_matches_literal_binomials(spec):
+    # m = 0 and m = 1 put the rising product's start (m-1)n at or below 0
+    for m in range(5):
+        for n in range(61):
+            assert lemma_2_1_sum(spec, m, n) == lemma_2_1_sum_literal(spec, m, n), (m, n)
 
 
 def test_lemma_2_1_depth_zero_is_trivial():

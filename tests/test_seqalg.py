@@ -2,6 +2,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from eigensums.seqalg import (
     shift_weight_map,
 )
 
-from oracles import binomial_transform_literal, eigen_kind_literal
+from oracles import binomial_transform_literal, eigen_kind_literal, legendre_symbol
 
 F = Fraction
 
@@ -202,7 +203,7 @@ _HORIZONS = (1, 2, 3, 7, 8, 20, 47, 48, 60)
     ids=["ascending", "descending", "repeated"],
 )
 def test_shared_check_answers_like_a_fresh_one(horizons):
-    seqalg._eigen_check.cache_clear()
+    seqalg._prefix.cache_clear()
     for h in horizons:
         for spec in _CHECKED_SPECS:
             assert classify_eigenspace(spec, h) is classify_prefix(spec.terms(h)), (spec.describe(), h)
@@ -221,7 +222,7 @@ def test_shared_check_pushes_each_term_once_under_threads(monkeypatch):
         return push(check, term)
 
     monkeypatch.setattr(seqalg._EigenCheck, "push", counted)
-    seqalg._eigen_check.cache_clear()
+    seqalg._prefix.cache_clear()
     start = threading.Barrier(workers, timeout=60)
     results = [None] * workers
 
@@ -243,10 +244,84 @@ def test_shared_check_pushes_each_term_once_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    checks = {id(seqalg._eigen_check(spec)) for spec in specs}
+    checks = {id(seqalg._prefix(spec).check) for spec in specs}
     assert pushed == Counter((check, i) for check in checks for i in range(top + 1))
     serial = {cell: classify_prefix(cell[0].terms(cell[1])) for cell in cells}
     assert all(result == serial for result in results)
+
+
+def _fibonacci(k: int) -> int:
+    """F_k for k >= -1, as the sum of a shallow diagonal of Pascal's triangle."""
+    if k < 1:
+        return {0: 0, -1: 1}[k]
+    return sum(comb(k - 1 - j, j) for j in range(k // 2 + 1))
+
+
+_CLOSED_FORMULAS = {
+    "step": lambda k: int(k > 0),
+    "fibonacci": _fibonacci,
+    "lucas": lambda k: _fibonacci(k - 1) + _fibonacci(k + 1),
+    "half_power": lambda k: F(1, 2**k),
+    "signed_bernoulli": lambda k: (-1) ** k * bernoulli_numbers(k)[k],
+    "weighted_catalan": lambda k: F(comb(2 * k, k), 4**k),
+    "legendre3_signed": lambda k: (-1) ** (k - 1) * legendre_symbol(k, 3),
+    "power2_alt": lambda k: 2**k - (-1) ** k,
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_terms_match_closed_formulas_in_any_order(name):
+    assert set(_CLOSED_FORMULAS) == set(BUILTIN_NAMES)
+    want = tuple(F(_CLOSED_FORMULAS[name](k)) for k in range(201))
+    spec = SequenceSpec.builtin(name)
+    seqalg._prefix.cache_clear()
+    for n in [*range(200, -1, -1), *range(201)]:
+        got = spec.terms(n)
+        assert got == want[: n + 1] and all(type(t) is F for t in got), n
+
+
+def _count_generated(monkeypatch, name: str) -> Counter:
+    """Count the exact terms the builtin ``name`` generates from now on."""
+    generated = Counter()
+    source, terms_mod = seqalg._BUILTINS[name]
+
+    def counted():
+        for term in source():
+            generated[name] += 1
+            yield term
+
+    monkeypatch.setitem(seqalg._BUILTINS, name, (counted, terms_mod))
+    seqalg._prefix.cache_clear()
+    return generated
+
+
+def test_terms_generates_each_term_once_under_threads(monkeypatch):
+    # Eight threads ask one sequence for prefixes of mixed lengths at once.
+    generated, workers = _count_generated(monkeypatch, "weighted_catalan"), 8
+    spec = SequenceSpec.builtin("weighted_catalan")
+    horizons = [*range(0, 300, 13), 300]
+    start = threading.Barrier(workers, timeout=60)
+    results = [None] * workers
+
+    def work(i):
+        order = horizons[i:] + horizons[:i]
+        start.wait()
+        results[i] = {h: spec.terms(h) for h in (order[::-1] if i % 2 else order)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so extensions interleave
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert generated == Counter(weighted_catalan=301)
+    want = tuple(F(_CLOSED_FORMULAS["weighted_catalan"](k)) for k in range(301))
+    assert all(result == {h: want[: h + 1] for h in horizons} for result in results)
 
 
 def _reduced_or_none(q: Fraction, p: int, e: int) -> int | None:
