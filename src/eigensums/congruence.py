@@ -6,17 +6,24 @@ The left side always goes through the harmonic-sum machinery; the right
 side is evaluated from its closed form (a scaled deeper sum, a half-range
 recurrence sum over sequence terms reduced straight into Z/p^e, or a
 Bernoulli value at 1/3 from the mod-p^2 power sum at index <= p-2) and
-touches no harmonic table.  Both closed-form kernels work over plain ints:
+touches no harmonic table.  The closed-form sides work over plain ints and
+share one private per-prime context (the last prime only), whose entries
+are each made on first use; it never reads the harmonic store, nor the
+store it:
 
 - Lemma 3.1's generating side reads the first differences of one depth-n
   harmonic row, H_k^(n) - H_{k-1}^(n) = H_{k-1}^(n-1)/k, with no inverse
   per coefficient.  Its mirror side is a Taylor shift done as one
-  correlation with the inverse factorials, a single polynomial product
-  mod p by Kronecker substitution (``exactnum.polymul_mod``), in place of
-  p^2 Horner steps.
-- Theorem 3.2's half-range sum takes every k^-1 from the factorials and
-  one modular inverse, and c^k as a running product, from its own
-  ``terms_mod`` call.
+  correlation of k! k^-n with the context's inverse factorials mod p, a
+  single polynomial product mod p by Kronecker substitution
+  (``exactnum.polymul_mod``) of which only the p coefficients read are
+  unpacked, in place of p^2 Horner steps.
+- Theorem 3.2's half-range sum is one dot product of two context vectors:
+  the weights c^k a_{p-2k} mod p^2 (which serve mod p too), from their own
+  ``terms_mod`` call, for each c, and the powers k^-power mod p^e for each
+  (power, e), every k^-1 taken from the factorials and one modular inverse.
+- Theorem 3.3's power sum p B_m(1/3) mod p^2 is made once per index m, and
+  depths n and n+1 read the same one (m = p-n-1 for odd n, p-n for even).
 
 Reports keep both residues rather than collapsing to a boolean so that
 failures are diagnosable and serialisable.
@@ -24,12 +31,15 @@ failures are diagnosable and serialisable.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Any
+from operator import mul
+from typing import Any, Callable
 
-from .bernoulli import bernoulli_times_p_mod_p2, bernoulli_value_mod
+from .bernoulli import bernoulli_times_p_mod_p2
 from .exactnum import Residue, factorials_mod, is_prime, mod_reduce, polymul_mod
 from .harmonic import (
     harmonic_table,
@@ -275,17 +285,79 @@ def verify_corollary_1_2(
     return _report("cor-1.2", a.describe(), lhs, Residue(0, p, 1), n=n, p=p, e=1, variant=variant)
 
 
+# Held while the context is looked up or an entry is made, so that none is made twice.
+_CLOSED_FORMS = threading.RLock()
+
+
+class _ClosedForms:
+    """The closed-form sides' ingredients at one prime, as ints, each made
+    on first use and kept while the prime is the last one asked for."""
+
+    def __init__(self, p: int) -> None:
+        self.prime = p
+        self._entries: dict[tuple, Any] = {}
+
+    def _entry(self, key: tuple, make: Callable[[], Any]) -> Any:
+        with _CLOSED_FORMS:
+            if key not in self._entries:
+                self._entries[key] = make()
+            return self._entries[key]
+
+    def factorials(self, e: int) -> tuple[list[int], list[int]]:
+        """k! and 1/k! mod p^e for k < p."""
+        return self._entry(("factorials", e), lambda: factorials_mod(self.prime, self.prime**e))
+
+    def half_range_weights(self, c: int) -> list[int]:
+        """c^k a_{p-2k} mod p^2, which serves mod p too, for k = 1..(p-1)/2,
+        with a = second_order(c, 1)."""
+
+        def make() -> list[int]:
+            p, mod = self.prime, self.prime**2
+            weights, c_power = [], 1
+            for a in SequenceSpec.second_order(c, 1).terms_mod(p, 2)[p - 2 :: -2]:
+                c_power = c_power * c % mod
+                weights.append(c_power * a % mod)
+            return weights
+
+        return self._entry(("weights", c), make)
+
+    def half_range_powers(self, power: int, e: int) -> list[int]:
+        """k^-power mod p^e for k = 1..(p-1)/2, with k^-1 = (k-1)!/k!."""
+
+        def make() -> list[int]:
+            half, mod = (self.prime + 1) // 2, self.prime**e
+            fact, inv_fact = self.factorials(e)
+            return [pow(f * i, power, mod) for f, i in zip(fact[: half - 1], inv_fact[1:half])]
+
+        return self._entry(("powers", power, e), make)
+
+    def bernoulli_at_third(self, m: int) -> Residue:
+        """p B_m(1/3) mod p^2, one power sum over k < p."""
+        return self._entry(("bernoulli", m), lambda: bernoulli_times_p_mod_p2(m, Fraction(1, 3), self.prime))
+
+
+@lru_cache(maxsize=1)
+def _closed_forms_at(p: int) -> _ClosedForms:
+    return _ClosedForms(p)
+
+
+def _closed_forms(p: int) -> _ClosedForms:
+    with _CLOSED_FORMS:
+        return _closed_forms_at(p)
+
+
 def _mirror_coefficients(n: int, p: int) -> list[int]:
     """Coefficients mod p of (-1)^(n-1) sum_{k<p} (1-x)^k / k^n.
 
     A Taylor shift of sum_k k^-n z^k to z = 1+y: the coefficient of y^j is
     sum_k C(k, j) k^-n = (1/j!) sum_k (k! k^-n) / (k-j)!, one correlation
-    of u_k = k! k^-n with the 1/i!, done as a single product mod p.  Every
-    k! with k < p is a unit mod p, and k^-1 = (k-1)! / k!.
+    of u_k = k! k^-n with the 1/i!, done as a single product mod p whose
+    low p coefficients are read.  Every k! with k < p is a unit mod p, and
+    k^-1 = (k-1)! / k!.
     """
-    fact, inv_fact = factorials_mod(p, p)
+    fact, inv_fact = _closed_forms(p).factorials(1)
     u = [0] + [fact[k] * pow(fact[k - 1] * inv_fact[k], n, p) for k in range(1, p)]
-    corr = polymul_mod(u[::-1], inv_fact, p)
+    corr = polymul_mod(u[::-1], inv_fact, p, p)
     shifted = [inv_fact[j] * corr[p - 1 - j] % p for j in range(p)]
     return [-v % p if (n - 1 + j) % 2 else v for j, v in enumerate(shifted)]
 
@@ -321,6 +393,19 @@ def verify_lemma_3_1(n: int, p: int) -> CongruenceReport:
     return _report("lemma-3.1", "-", lhs, rhs, detail=detail, n=n, p=p, e=1)
 
 
+def _half_range_side(c: int, n: int, p: int) -> Residue:
+    """Theorem 3.2's closed-form side: -p(n+1) sum c^k a_{p-2k} / k^(n+1)
+    mod p^2 for odd n, -2 sum c^k a_{p-2k} / k^n mod p for even n, over
+    k = 1..(p-1)/2, as one dot product of the context's vectors."""
+    if n % 2 == 1:
+        e, factor, power = 2, -p * (n + 1), n + 1
+    else:
+        e, factor, power = 1, -2, n
+    forms = _closed_forms(p)
+    acc = sum(map(mul, forms.half_range_weights(c), forms.half_range_powers(power, e)))
+    return Residue(factor * acc, p, e)
+
+
 def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
     """Nested sum over the recurrence family vs the half-range sum
     -p(n+1) sum c^k a_{p-2k} / k^(n+1) (mod p^2, odd n) or
@@ -333,20 +418,20 @@ def verify_theorem_3_2(c: int, n: int, p: int) -> CongruenceReport:
     """
     _require_cell(n, p, n + 1)
     seq = SequenceSpec.second_order(c, 1)
+    rhs = _half_range_side(c, n, p)
+    lhs = weighted_sum_S(seq, n, p, rhs.exponent)
+    return _report("thm-3.2", seq.describe(), lhs, rhs, n=n, p=p, e=rhs.exponent, c=c)
+
+
+def _bernoulli_side(n: int, p: int) -> Residue:
+    """Theorem 3.3's closed-form side: -((2^(n+1)+2)/6^(n+1)) p B_{p-n-1}(1/3)
+    mod p^2 for odd n, -((2^(n+1)+4)/(n 6^n)) B_{p-n}(1/3) mod p for even n,
+    where B_m(1/3) mod p is p B_m(1/3) mod p^2 divided by p."""
     if n % 2 == 1:
-        e, factor, power = 2, -p * (n + 1), n + 1
-    else:
-        e, factor, power = 1, -2, n
-    mod = p**e
-    # k runs over 1..(p-1)/2 with k^-1 = (k-1)!/k!, and c^k as a running product
-    fact, inv_fact = factorials_mod((p + 1) // 2, mod)
-    acc, c_power = 0, 1
-    for f, i, a in zip(fact, inv_fact[1:], seq.terms_mod(p, e)[p - 2 :: -2]):
-        c_power = c_power * c % mod
-        acc += c_power * a * pow(f * i, power, mod)
-    lhs = weighted_sum_S(seq, n, p, e)
-    rhs = Residue(factor * acc, p, e)
-    return _report("thm-3.2", seq.describe(), lhs, rhs, n=n, p=p, e=e, c=c)
+        scale = -Fraction(2 ** (n + 1) + 2, 6 ** (n + 1))
+        return mod_reduce(scale, p, 2) * _closed_forms(p).bernoulli_at_third(p - n - 1)
+    scale = -Fraction(2 ** (n + 1) + 4, n * 6**n)
+    return mod_reduce(scale, p, 1) * Residue(_closed_forms(p).bernoulli_at_third(p - n).value // p, p, 1)
 
 
 def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:
@@ -358,12 +443,6 @@ def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:
     """
     _require_cell(n, p, max(n + 1, 3))
     seq = SequenceSpec.builtin("legendre3_signed")
-    if n % 2 == 1:
-        e, scale = 2, -Fraction(2 ** (n + 1) + 2, 6 ** (n + 1))
-        bernoulli_side = bernoulli_times_p_mod_p2(p - n - 1, Fraction(1, 3), p)
-    else:
-        e, scale = 1, -Fraction(2 ** (n + 1) + 4, n * 6**n)
-        bernoulli_side = bernoulli_value_mod(p - n, Fraction(1, 3), p)
-    lhs = weighted_sum_S(seq, n, p, e)
-    rhs = mod_reduce(scale, p, e) * bernoulli_side
-    return _report("thm-3.3", seq.describe(), lhs, rhs, n=n, p=p, e=e)
+    rhs = _bernoulli_side(n, p)
+    lhs = weighted_sum_S(seq, n, p, rhs.exponent)
+    return _report("thm-3.3", seq.describe(), lhs, rhs, n=n, p=p, e=rhs.exponent)

@@ -204,21 +204,26 @@ def factorials_mod(count: int, m: int) -> tuple[list[int], list[int]]:
     return fact, inv_fact
 
 
-def polymul_mod(a: list[int], b: list[int], m: int) -> list[int]:
-    """Coefficients of the product of two polynomials over Z/m, lowest first.
+def polymul_mod(a: list[int], b: list[int], m: int, size: int | None = None) -> list[int]:
+    """Coefficients of the product of two polynomials over Z/m, lowest first;
+    only the lowest ``size`` of them when given (all by default).
 
     Kronecker substitution: each list is packed into one int with a slot
     per coefficient wide enough for any coefficient of the exact product,
     so one big-int multiply does all the work and no carry crosses a slot.
+    A coefficient below ``size`` reads only inputs below ``size``, so the
+    rest are neither packed nor unpacked.
     """
-    if not a or not b:
+    full = len(a) + len(b) - 1 if a and b else 0
+    size = full if size is None else min(size, full)
+    if size <= 0:
         return []
-    a = [x % m for x in a]
-    b = [x % m for x in b]
+    a = [x % m for x in a[:size]]
+    b = [x % m for x in b[:size]]
     bits = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()
     width = (bits + 7) // 8
     packed_a = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in a), "little")
     packed_b = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in b), "little")
-    size = len(a) + len(b) - 1
-    data = (packed_a * packed_b).to_bytes(width * size, "little")
+    low = (packed_a * packed_b) & ((1 << (8 * width * size)) - 1)
+    data = low.to_bytes(width * size, "little")
     return [int.from_bytes(data[i : i + width], "little") % m for i in range(0, width * size, width)]

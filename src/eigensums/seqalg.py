@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, islice, repeat
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterator, Sequence
 
 from .bernoulli import bernoulli_number
@@ -65,24 +65,32 @@ class EigenKind(Enum):
 
 
 class _EigenCheck:
-    """The right edge of a difference table, ``edge[i]`` = Delta^i a_{m-1-i}
-    after m terms, and for each sign how many leading k have T(a)_k = +-a_k.
+    """The right edge of a difference table, ``edge[i]`` = den * Delta^i a_{m-1-i}
+    after m terms, kept in ints over ``den``, the running common denominator
+    of the terms, and for each sign how many leading k have T(a)_k = +-a_k.
     ``image`` holds T(a) of the terms given to the constructor."""
 
     def __init__(self, terms: Sequence[Fraction | int] = ()) -> None:
-        self.edge: list[Fraction | int] = []
+        self.edge: list[int] = []
+        self.den = 1
         self.plus = self.minus = 0
-        self.image = [self.push(Fraction(x)) for x in terms]
+        self.image = [Fraction(self.push(Fraction(x)), self.den) for x in terms]
 
-    def push(self, term: Fraction | int) -> Fraction | int:
-        """Append a_m and return T(a)_m = (-1)^m Delta^m a_0."""
-        m, diff = len(self.edge), term
+    def push(self, term: Fraction | int) -> int:
+        """Append a_m and return den * T(a)_m = den * (-1)^m Delta^m a_0."""
+        num, den = term.as_integer_ratio()
+        if self.den % den:  # a new factor of the denominator scales the whole edge once
+            scale = den // gcd(self.den, den)
+            self.den *= scale
+            self.edge = [x * scale for x in self.edge]
+        m = len(self.edge)
+        diff = scaled = num * (self.den // den)
         for i, below in enumerate(self.edge):  # Delta^i a_{m-i} = Delta^(i-1) (a_{m-i+1} - a_{m-i})
             self.edge[i], diff = diff, diff - below
         self.edge.append(diff)
         image = -diff if m % 2 else diff
-        self.plus += self.plus == m and image == term
-        self.minus += self.minus == m and image == -term
+        self.plus += self.plus == m and image == scaled
+        self.minus += self.minus == m and image == -scaled
         return image
 
     def kind(self, length: int) -> EigenKind:
@@ -157,9 +165,9 @@ def _series_inverse(f: list[int], m: int) -> list[int]:
     g = [pow(f[0], -1, m)]
     while len(g) < len(f):
         size = min(2 * len(g), len(f))
-        residual = [-x for x in polymul_mod(f[:size], g, m)[:size]]
+        residual = [-x for x in polymul_mod(f, g, m, size)]
         residual[0] += 2
-        g = polymul_mod(g, residual, m)[:size]
+        g = polymul_mod(g, residual, m, size)
     return g
 
 
@@ -273,15 +281,14 @@ _prefix = lru_cache(maxsize=256)(_Prefix)  # one record per sequence
 def classify_eigenspace(a: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> EigenKind:
     """Classify a_0..a_horizon against the transform.  T(a)_k reads only
     a_0..a_k, so each sequence has one check, extended only past the terms
-    it holds, that answers every horizon.  Integral terms go in as ints,
-    which the difference table subtracts without a gcd."""
+    it holds, that answers every horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     with _GROWTH:
         prefix = _prefix(a)
         check = prefix.check
         for t in prefix.extend(horizon + 1)[len(check.edge) : horizon + 1]:
-            check.push(t.numerator if t.denominator == 1 else t)
+            check.push(t)
         return check.kind(horizon + 1)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
+from eigensums.exactnum import factorials_mod
 from eigensums.seqalg import EigenKind, SequenceSpec, binom
 
 
@@ -120,6 +121,25 @@ def theorem_3_2_half_range_even(a: SequenceSpec, n: int, p: int) -> int:
         acc += a.c**k * terms[p - 2 * k] / Fraction(k**n)
     total = -2 * acc
     return total.numerator * pow(total.denominator, -1, p) % p
+
+
+def theorem_3_2_half_range_fused(c: int, n: int, p: int) -> int:
+    """The thm-3.2 closed form mod p^e (e = 2 for odd n, 1 for even n) by
+    one fused loop over k = 1..(p-1)/2: k^-1 = (k-1)!/k! from fresh
+    factorials, c^k as a running product and one pow per term, over a
+    fresh ``terms_mod`` reduction, with nothing kept between calls."""
+    if n % 2 == 1:
+        e, factor, power = 2, -p * (n + 1), n + 1
+    else:
+        e, factor, power = 1, -2, n
+    mod = p**e
+    fact, inv_fact = factorials_mod((p + 1) // 2, mod)
+    acc, c_power = 0, 1
+    terms = SequenceSpec.second_order(c, 1).terms_mod(p, e)
+    for f, i, a in zip(fact, inv_fact[1:], terms[p - 2 :: -2]):
+        c_power = c_power * c % mod
+        acc += c_power * a * pow(f * i, power, mod)
+    return factor * acc % mod
 
 
 def harmonic_rows_exact(p: int, depth: int) -> list[list[Fraction]]:

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from eigensums import bernoulli, congruence, harmonic
-from eigensums.bernoulli import bernoulli_poly_eval, bernoulli_value_mod
+from eigensums.bernoulli import bernoulli_poly_eval, bernoulli_times_p_mod_p2, bernoulli_value_mod
 from eigensums.congruence import (
     EvenDepth,
     NotInvariantMinus,
     NotInvariantPlus,
     PrimeTooSmall,
+    _bernoulli_side,
+    _half_range_side,
     _mirror_coefficients,
     _polynomial_sides,
     lemma_2_1_sum,
@@ -33,6 +36,7 @@ from oracles import (
     lemma_3_1_mirror_horner,
     lemma_3_1_sides_exact,
     theorem_3_2_half_range_even,
+    theorem_3_2_half_range_fused,
     theorem_3_2_half_range_odd,
 )
 
@@ -367,6 +371,40 @@ def test_large_prime_sides_never_build_exact_terms(monkeypatch):
         assert verify_corollary_1_2(catalan, 1, 1009, variant).passed
 
 
+def test_theorem_3_2_rhs_matches_fused_loop_as_the_context_is_evicted():
+    # shuffled cells at two primes, so the one-prime context is dropped and
+    # rebuilt between cells, against the loop that keeps nothing
+    cells = [(c, n, p) for p in (1009, 2003) for c in range(-3, 4) for n in range(1, 7)]
+    random.Random(19).shuffle(cells)
+    assert sum(a[2] != b[2] for a, b in zip(cells, cells[1:])) > len(cells) // 4
+    congruence._closed_forms_at.cache_clear()
+    for c, n, p in cells:
+        assert verify_theorem_3_2(c, n, p).rhs.value == theorem_3_2_half_range_fused(c, n, p), (c, n, p)
+
+
+def test_closed_form_sides_never_read_the_harmonic_store(monkeypatch):
+    # aim 3: the closed-form kernels run with the harmonic store unreachable
+    p = 1009
+
+    def sides():
+        congruence._closed_forms_at.cache_clear()
+        return (
+            [_half_range_side(c, n, p) for c in (-3, 0, 2) for n in range(1, 5)],
+            [_bernoulli_side(n, p) for n in range(1, 5)],
+            [_mirror_coefficients(n, p) for n in (1, 2)],
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("harmonic store reached")
+
+    want = sides()
+    monkeypatch.setattr(harmonic, "_store", refuse)
+    monkeypatch.setattr(harmonic, "_prime_store", refuse)
+    assert sides() == want
+    with pytest.raises(AssertionError, match="harmonic store reached"):
+        verify_theorem_3_2(2, 1, p)  # the nested side does read it
+
+
 def test_theorem_3_2_scaling_equivariance():
     # multiplying a_1 by a unit rational scales both sides linearly
     lam = F(3, 4)
@@ -431,6 +469,28 @@ def test_theorem_3_3_never_reaches_the_exact_bernoulli_path(monkeypatch):
         monkeypatch.setattr(congruence, name, refuse, raising=False)
     for n in range(1, 5):
         assert verify_theorem_3_3(n, 1009).passed, n
+
+
+def test_theorem_3_3_shares_each_power_sum_between_depths(monkeypatch):
+    # n = 1, 2 read p B_{p-2}(1/3) and n = 3, 4 read p B_{p-4}(1/3)
+    p, third, calls = 1009, F(1, 3), []
+
+    def counted(m, x, q):
+        calls.append(m)
+        return bernoulli_times_p_mod_p2(m, x, q)
+
+    want = []
+    for n in range(1, 5):
+        if n % 2:
+            scale = -F(2 ** (n + 1) + 2, 6 ** (n + 1))
+            want.append(mod_reduce(scale, p, 2) * bernoulli_times_p_mod_p2(p - n - 1, third, p))
+        else:
+            scale = -F(2 ** (n + 1) + 4, n * 6**n)
+            want.append(mod_reduce(scale, p, 1) * bernoulli_value_mod(p - n, third, p))
+    monkeypatch.setattr(congruence, "bernoulli_times_p_mod_p2", counted)
+    congruence._closed_forms_at.cache_clear()
+    assert [verify_theorem_3_3(n, p).rhs for n in range(1, 5)] == want
+    assert calls == [p - 2, p - 4]
 
 
 def test_theorem_3_3_guard():

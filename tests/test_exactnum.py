@@ -145,7 +145,10 @@ def test_polymul_mod_matches_schoolbook():
         m = p ** rng.randint(1, 3)
         a = [rng.randrange(m) for _ in range(la)]
         b = [rng.randrange(-m, 2 * m) for _ in range(lb)]  # unreduced inputs too
-        assert polymul_mod(a, b, m) == polymul_schoolbook(a, b, m), (la, lb, m)
+        want = polymul_schoolbook(a, b, m)
+        assert polymul_mod(a, b, m) == want, (la, lb, m)
+        for size in range(len(want) + 1):
+            assert polymul_mod(a, b, m, size) == want[:size], (la, lb, m, size)
 
 
 def test_polymul_mod_extreme_coefficients():
@@ -153,4 +156,7 @@ def test_polymul_mod_extreme_coefficients():
     for m in (2, 3, 1009**3):
         for length in (1, 2, 255, 256, 300):
             full = [m - 1] * length
-            assert polymul_mod(full, full, m) == polymul_schoolbook(full, full, m), (m, length)
+            want = polymul_schoolbook(full, full, m)
+            assert polymul_mod(full, full, m) == want, (m, length)
+            for size in range(len(want) + 1):
+                assert polymul_mod(full, full, m, size) == want[:size], (m, length, size)

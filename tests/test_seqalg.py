@@ -250,6 +250,17 @@ def test_shared_check_pushes_each_term_once_under_threads(monkeypatch):
     assert all(result == serial for result in results)
 
 
+@pytest.mark.parametrize("name", ["half_power", "weighted_catalan", "signed_bernoulli"])
+def test_scaled_edge_matches_literal_transform_on_rational_builtins(name):
+    # the edge is kept in ints over a common denominator that grows with the terms
+    spec = SequenceSpec.builtin(name)
+    terms = list(spec.terms(80))
+    assert binomial_transform_prefix(terms) == binomial_transform_literal(terms)
+    seqalg._prefix.cache_clear()
+    for h in (1, 2, 9, 80):
+        assert classify_eigenspace(spec, h) is eigen_kind_literal(terms[: h + 1]), h
+
+
 def _fibonacci(k: int) -> int:
     """F_k for k >= -1, as the sum of a shallow diagonal of Pascal's triangle."""
     if k < 1:
