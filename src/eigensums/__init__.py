@@ -6,19 +6,15 @@ from .exactnum import (
     NotAUnit,
     Residue,
     RingMismatch,
-    mod_inverse,
     mod_reduce,
     primes_between,
 )
 from .seqalg import (
     BUILTIN_NAMES,
-    ClosedFormData,
     EigenKind,
     SequenceSpec,
     binomial_transform_prefix,
     classify_eigenspace,
-    second_order_terms,
-    shift_weight_map,
 )
 from .harmonic import (
     HarmonicTable,
@@ -35,7 +31,6 @@ from .bernoulli import (
     check_bernoulli_identities,
 )
 from .centralfact import (
-    CentralFactorialTriangle,
     RationalMatrix,
     central_factorial_t,
     coefficient_matrix,

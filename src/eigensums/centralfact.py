@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
-    "CentralFactorialTriangle",
     "RationalMatrix",
     "central_factorial_t",
     "coefficient_matrix",
@@ -32,26 +31,6 @@ def central_factorial_t(i: int, j: int) -> Fraction:
     for m in range(1, i + 1):
         acc += (-1) ** (i - m) * comb(2 * i, i + m) * m**j
     return Fraction(2 * acc, factorial(2 * i))
-
-
-@dataclass(frozen=True, slots=True)
-class CentralFactorialTriangle:
-    """Exact values t(i,j) for 1 <= i <= i_max, 1 <= j <= j_max."""
-
-    i_max: int
-    j_max: int
-    values: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def build(cls, i_max: int, j_max: int) -> CentralFactorialTriangle:
-        vals = tuple(
-            tuple(central_factorial_t(i, j) for j in range(1, j_max + 1))
-            for i in range(1, i_max + 1)
-        )
-        return cls(i_max, j_max, vals)
-
-    def t(self, i: int, j: int) -> Fraction:
-        return self.values[i - 1][j - 1]
 
 
 @dataclass(frozen=True, slots=True)

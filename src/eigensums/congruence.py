@@ -106,11 +106,11 @@ MAX_PRIME = 10**5
 
 # Sizes the command line refuses up front, each set so that the largest
 # accepted value finishes in a few seconds.  A classification's difference
-# table is quadratic in exact terms (`classify --horizon 500` takes 0.3 s for
-# an integer sequence and up to 2 s for a rational one on 2 vCPUs).
+# table is quadratic in exact terms (`classify --horizon 500` takes 0.2 s for
+# fibonacci and 0.6 s for signed_bernoulli, the slowest builtin, on 2 vCPUs).
 # MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma classifies
 # its sequence at horizon max(n, horizon) and sums n+1 terms per n
-# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 5 s).
+# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 2 s).
 # Each step of the matrix's row reduction is quadratic too (100 x 100 takes
 # about 2 s).  MAX_CELLS bounds the cells of one sweep, counted from its
 # axes before any is built, so a huge grid is refused, not run out of memory.

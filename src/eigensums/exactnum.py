@@ -20,7 +20,6 @@ __all__ = [
     "NotAUnit",
     "RingMismatch",
     "mod_reduce",
-    "mod_inverse",
     "polymul_mod",
     "factorials_mod",
     "is_prime",
@@ -184,11 +183,6 @@ def mod_reduce(q: Fraction | int, p: int, e: int = 1) -> Residue:
         raise DenominatorDivisibleByP(f"denominator {q.denominator} is divisible by {p}")
     inv = pow(q.denominator, -1, p**e)
     return Residue(q.numerator * inv, p, e)
-
-
-def mod_inverse(x: Residue) -> Residue:
-    """Modular inverse of a unit residue; raises NotAUnit otherwise."""
-    return x.inverse()
 
 
 def factorials_mod(count: int, m: int) -> tuple[list[int], list[int]]:

@@ -5,7 +5,7 @@ sequence splits into a part it fixes (the "plus" eigenspace) and a part it
 negates (the "minus" eigenspace).  This module provides the transform over
 exact rationals, a catalogue of builtin sequences, classification against
 a finite horizon, and the second-order recurrence family a_{k+1} = a_k +
-c*a_{k-1} (a_0 = 0) together with its closed form in Q(sqrt(1+4c)).
+c*a_{k-1} (a_0 = 0).
 """
 
 from __future__ import annotations
@@ -27,15 +27,9 @@ __all__ = [
     "DEFAULT_HORIZON",
     "EigenKind",
     "SequenceSpec",
-    "ClosedFormData",
-    "QuadExt",
-    "ZeroCNegativeIndex",
-    "binom",
     "binomial_transform_prefix",
     "classify_prefix",
     "classify_eigenspace",
-    "shift_weight_map",
-    "second_order_terms",
 ]
 
 # Large enough to catch any plausible misclassification while keeping the
@@ -43,19 +37,6 @@ __all__ = [
 DEFAULT_HORIZON = 48
 
 _GROWTH = threading.Lock()  # held while a prefix is made or extended: no term is made or pushed twice
-
-
-class ZeroCNegativeIndex(ValueError):
-    """Negative recurrence indices requested with c = 0 (no inverse exists)."""
-
-
-def binom(n: int, k: int) -> int:
-    """C(n, k) for any integer n and k >= 0, generalised to negative n."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if n >= 0:
-        return comb(n, k) if k <= n else 0
-    return (-1) ** k * comb(k - n - 1, k)
 
 
 class EigenKind(Enum):
@@ -290,118 +271,3 @@ def classify_eigenspace(a: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> Eige
         for t in prefix.extend(horizon + 1)[len(check.edge) : horizon + 1]:
             check.push(t)
         return check.kind(horizon + 1)
-
-
-def shift_weight_map(a: SequenceSpec, horizon: int) -> list[Fraction]:
-    """The prefix of n * a_{n-1}, which swaps eigenspaces (plus <-> minus)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    terms = a.terms(horizon - 1)
-    return [Fraction(0)] + [n * terms[n - 1] for n in range(1, horizon + 1)]
-
-
-def second_order_terms(
-    c: int, a1: Fraction | int, k_min: int, k_max: int
-) -> list[Fraction]:
-    """Terms a_{k_min}..a_{k_max} of the recurrence a_{k+1} = a_k + c*a_{k-1}.
-
-    a_0 = 0 and a_1 is given; negative indices extend the sequence by
-    a_{-k} = -a_k * (-c)^{-k}, which requires c != 0.
-    """
-    if k_min > k_max:
-        raise ValueError("k_min must be <= k_max")
-    if k_min < 0 and c == 0:
-        raise ZeroCNegativeIndex("negative indices need c != 0")
-    fwd = list(islice(_recurrence(Fraction(0), Fraction(a1), c), max(k_max, -k_min, 1) + 1))
-
-    def term(k: int) -> Fraction:
-        if k >= 0:
-            return fwd[k]
-        j = -k
-        return -fwd[j] / Fraction((-c) ** j)
-
-    return [term(k) for k in range(k_min, k_max + 1)]
-
-
-@dataclass(frozen=True, slots=True)
-class QuadExt:
-    """Element rat + irr*sqrt(delta) of the quadratic extension Q(sqrt(delta))."""
-
-    rat: Fraction
-    irr: Fraction
-    delta: int
-
-    def _check(self, other: QuadExt) -> None:
-        if self.delta != other.delta:
-            raise ValueError("mixed extension rings")
-
-    def __add__(self, other: QuadExt) -> QuadExt:
-        self._check(other)
-        return QuadExt(self.rat + other.rat, self.irr + other.irr, self.delta)
-
-    def __sub__(self, other: QuadExt) -> QuadExt:
-        self._check(other)
-        return QuadExt(self.rat - other.rat, self.irr - other.irr, self.delta)
-
-    def __mul__(self, other: QuadExt) -> QuadExt:
-        self._check(other)
-        return QuadExt(
-            self.rat * other.rat + self.irr * other.irr * self.delta,
-            self.rat * other.irr + self.irr * other.rat,
-            self.delta,
-        )
-
-    def __neg__(self) -> QuadExt:
-        return QuadExt(-self.rat, -self.irr, self.delta)
-
-    def inverse(self) -> QuadExt:
-        norm = self.rat * self.rat - self.irr * self.irr * self.delta
-        if norm == 0:
-            raise ZeroDivisionError("element has zero norm")
-        return QuadExt(self.rat / norm, -self.irr / norm, self.delta)
-
-    def __pow__(self, k: int) -> QuadExt:
-        base = self if k >= 0 else self.inverse()
-        result = QuadExt(Fraction(1), Fraction(0), self.delta)
-        for _ in range(abs(k)):
-            result = result * base
-        return result
-
-
-@dataclass(frozen=True, slots=True)
-class ClosedFormData:
-    """The discriminant delta = 1 + 4c and the conjugate roots
-    w = (1 +- sqrt(delta)) / 2 of the second-order recurrence.
-
-    The closed form used here is sqrt(delta) * a_k = w_plus^k - w_minus^k
-    (for a_1 = 1).  The plus-sign variant (w_plus^k + w_minus^k)/sqrt(delta)
-    is sometimes quoted, but it evaluates to 1/sqrt(delta) at k = 1 and so
-    cannot satisfy a_1 = 1; the difference form does.
-    """
-
-    c: int
-    delta: int
-    w_plus: QuadExt
-    w_minus: QuadExt
-
-    @classmethod
-    def from_c(cls, c: int) -> ClosedFormData:
-        delta = 1 + 4 * c
-        half = Fraction(1, 2)
-        w_plus = QuadExt(half, half, delta)
-        w_minus = QuadExt(half, -half, delta)
-        data = cls(c=c, delta=delta, w_plus=w_plus, w_minus=w_minus)
-        one = QuadExt(Fraction(1), Fraction(0), delta)
-        minus_c = QuadExt(Fraction(-c), Fraction(0), delta)
-        if w_plus + w_minus != one or w_plus * w_minus != minus_c:
-            raise ArithmeticError("root relations w+ + w- = 1, w+ w- = -c failed")
-        return data
-
-    def term(self, k: int) -> Fraction:
-        """a_k for the a_1 = 1 recurrence, read off from w_plus^k - w_minus^k."""
-        if k < 0 and self.c == 0:
-            raise ZeroCNegativeIndex("negative indices need c != 0")
-        diff = self.w_plus**k - self.w_minus**k
-        if diff.rat != 0:
-            raise ArithmeticError("closed-form difference has a rational part")
-        return diff.irr

@@ -1,21 +1,34 @@
 """Independent oracles used by the tests: literal enumerations and
-closed-form facts that never touch the library's table-based code paths."""
+closed-form facts that never touch the library's table-based code paths.
+
+It also pins the paper's conventions for the recurrence family
+a_{k+1} = a_k + c*a_{k-1} with a_0 = 0, which the library needs only
+through the terms of ``SequenceSpec.second_order``:
+
+- the closed form sqrt(delta) * a_k = w_plus^k - w_minus^k (a_1 = 1) in
+  Q(sqrt(delta)), delta = 1 + 4c, w = (1 +- sqrt(delta)) / 2
+  (``QuadExt``, ``ClosedFormData``);
+- the extension to negative indices a_{-k} = -a_k * (-c)^{-k}, which needs
+  c != 0 (``second_order_terms``, ``ZeroCNegativeIndex``);
+- C(n, k) generalised to negative n (``binom``), as lemma 2.1 states it;
+- the map a_n -> n * a_{n-1}, which swaps the two eigenspaces
+  (``shift_weight_map``).
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 from eigensums.exactnum import factorials_mod
-from eigensums.seqalg import EigenKind, SequenceSpec, binom
+from eigensums.seqalg import EigenKind, SequenceSpec
 
 
 def binomial_transform_literal(a: list[Fraction | int]) -> list[Fraction]:
     """T(a)_n = sum_{k<=n} C(n,k) (-1)^k a_k for every n < len(a), summed
     term by term with one binomial coefficient each."""
-    from math import comb
-
     return [
         sum((Fraction((-1) ** k * comb(n, k)) * a[k] for k in range(n + 1)), Fraction(0))
         for n in range(len(a))
@@ -28,6 +41,15 @@ def eigen_kind_literal(a: list[Fraction | int]) -> EigenKind:
     if image == [Fraction(x) for x in a]:
         return EigenKind.PLUS
     return EigenKind.MINUS if image == [-Fraction(x) for x in a] else EigenKind.NEITHER
+
+
+def binom(n: int, k: int) -> int:
+    """C(n, k) for any integer n and k >= 0, generalised to negative n."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if n >= 0:
+        return comb(n, k) if k <= n else 0
+    return (-1) ** k * comb(k - n - 1, k)
 
 
 def lemma_2_1_sum_literal(a: SequenceSpec, m: int, n: int) -> Fraction:
@@ -88,8 +110,6 @@ def lemma_3_1_sides_exact(n: int, p: int) -> tuple[list[Fraction], list[Fraction
 def lemma_3_1_mirror_exact(n: int, p: int) -> list[Fraction]:
     """Exact coefficients of (-1)^(n-1) sum_{k<p} (1-x)^k / k^n, expanded
     binomially term by term."""
-    from math import comb
-
     mirror = [Fraction(0)] * p
     for k in range(1, p):
         inv_kn = Fraction(1, k**n)
@@ -209,3 +229,125 @@ def legendre_symbol(a: int, p: int) -> int:
     is 0, 1 or p-1."""
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+def shift_weight_map(a: SequenceSpec, horizon: int) -> list[Fraction]:
+    """The prefix of n * a_{n-1}, which swaps eigenspaces (plus <-> minus)."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    terms = a.terms(horizon - 1)
+    return [Fraction(0)] + [n * terms[n - 1] for n in range(1, horizon + 1)]
+
+
+class ZeroCNegativeIndex(ValueError):
+    """Negative recurrence indices requested with c = 0 (no inverse exists)."""
+
+
+def second_order_terms(
+    c: int, a1: Fraction | int, k_min: int, k_max: int
+) -> list[Fraction]:
+    """Terms a_{k_min}..a_{k_max} of the recurrence a_{k+1} = a_k + c*a_{k-1},
+    run forward by its own loop.
+
+    a_0 = 0 and a_1 is given; negative indices extend the sequence by
+    a_{-k} = -a_k * (-c)^{-k}, which requires c != 0.
+    """
+    if k_min > k_max:
+        raise ValueError("k_min must be <= k_max")
+    if k_min < 0 and c == 0:
+        raise ZeroCNegativeIndex("negative indices need c != 0")
+    fwd = [Fraction(0), Fraction(a1)]
+    while len(fwd) <= max(k_max, -k_min):
+        fwd.append(fwd[-1] + c * fwd[-2])
+
+    def term(k: int) -> Fraction:
+        if k >= 0:
+            return fwd[k]
+        j = -k
+        return -fwd[j] / Fraction((-c) ** j)
+
+    return [term(k) for k in range(k_min, k_max + 1)]
+
+
+@dataclass(frozen=True, slots=True)
+class QuadExt:
+    """Element rat + irr*sqrt(delta) of the quadratic extension Q(sqrt(delta))."""
+
+    rat: Fraction
+    irr: Fraction
+    delta: int
+
+    def _check(self, other: QuadExt) -> None:
+        if self.delta != other.delta:
+            raise ValueError("mixed extension rings")
+
+    def __add__(self, other: QuadExt) -> QuadExt:
+        self._check(other)
+        return QuadExt(self.rat + other.rat, self.irr + other.irr, self.delta)
+
+    def __sub__(self, other: QuadExt) -> QuadExt:
+        self._check(other)
+        return QuadExt(self.rat - other.rat, self.irr - other.irr, self.delta)
+
+    def __mul__(self, other: QuadExt) -> QuadExt:
+        self._check(other)
+        return QuadExt(
+            self.rat * other.rat + self.irr * other.irr * self.delta,
+            self.rat * other.irr + self.irr * other.rat,
+            self.delta,
+        )
+
+    def __neg__(self) -> QuadExt:
+        return QuadExt(-self.rat, -self.irr, self.delta)
+
+    def inverse(self) -> QuadExt:
+        norm = self.rat * self.rat - self.irr * self.irr * self.delta
+        if norm == 0:
+            raise ZeroDivisionError("element has zero norm")
+        return QuadExt(self.rat / norm, -self.irr / norm, self.delta)
+
+    def __pow__(self, k: int) -> QuadExt:
+        base = self if k >= 0 else self.inverse()
+        result = QuadExt(Fraction(1), Fraction(0), self.delta)
+        for _ in range(abs(k)):
+            result = result * base
+        return result
+
+
+@dataclass(frozen=True, slots=True)
+class ClosedFormData:
+    """The discriminant delta = 1 + 4c and the conjugate roots
+    w = (1 +- sqrt(delta)) / 2 of the second-order recurrence.
+
+    The closed form used here is sqrt(delta) * a_k = w_plus^k - w_minus^k
+    (for a_1 = 1).  The plus-sign variant (w_plus^k + w_minus^k)/sqrt(delta)
+    is sometimes quoted, but it evaluates to 1/sqrt(delta) at k = 1 and so
+    cannot satisfy a_1 = 1; the difference form does.
+    """
+
+    c: int
+    delta: int
+    w_plus: QuadExt
+    w_minus: QuadExt
+
+    @classmethod
+    def from_c(cls, c: int) -> ClosedFormData:
+        delta = 1 + 4 * c
+        half = Fraction(1, 2)
+        w_plus = QuadExt(half, half, delta)
+        w_minus = QuadExt(half, -half, delta)
+        data = cls(c=c, delta=delta, w_plus=w_plus, w_minus=w_minus)
+        one = QuadExt(Fraction(1), Fraction(0), delta)
+        minus_c = QuadExt(Fraction(-c), Fraction(0), delta)
+        if w_plus + w_minus != one or w_plus * w_minus != minus_c:
+            raise ArithmeticError("root relations w+ + w- = 1, w+ w- = -c failed")
+        return data
+
+    def term(self, k: int) -> Fraction:
+        """a_k for the a_1 = 1 recurrence, read off from w_plus^k - w_minus^k."""
+        if k < 0 and self.c == 0:
+            raise ZeroCNegativeIndex("negative indices need c != 0")
+        diff = self.w_plus**k - self.w_minus**k
+        if diff.rat != 0:
+            raise ArithmeticError("closed-form difference has a rational part")
+        return diff.irr

@@ -4,7 +4,6 @@ from math import comb, factorial
 import pytest
 
 from eigensums.centralfact import (
-    CentralFactorialTriangle,
     RationalMatrix,
     central_factorial_t,
     coefficient_matrix,
@@ -36,12 +35,6 @@ def test_triangle_worked_examples():
     assert central_factorial_t(2, 6) == 5
     with pytest.raises(ValueError):
         central_factorial_t(0, 1)
-
-
-def test_triangle_builder():
-    tri = CentralFactorialTriangle.build(4, 8)
-    assert tri.t(2, 6) == 5
-    assert tri.t(3, 6) == 1
 
 
 def test_even_columns_vanish_below_and_normalise_on_diagonal():

@@ -25,7 +25,7 @@ from eigensums.congruence import (
 )
 from eigensums.exactnum import mod_reduce, primes_between
 from eigensums.harmonic import nested_sum_bruteforce, weighted_sum_S
-from eigensums.seqalg import BUILTIN_NAMES, SequenceSpec, second_order_terms
+from eigensums.seqalg import BUILTIN_NAMES, SequenceSpec
 
 from oracles import (
     brute_variant,

@@ -11,7 +11,6 @@ from eigensums.exactnum import (
     Residue,
     RingMismatch,
     is_prime,
-    mod_inverse,
     mod_reduce,
     polymul_mod,
     primes_between,
@@ -28,9 +27,9 @@ def test_mod_reduce_worked_examples():
 
 def test_mod_inverse_worked_examples():
     for p, e in ((5, 1), (7, 2), (13, 3)):
-        assert mod_inverse(Residue(1, p, e)).value == 1
-    assert mod_inverse(Residue(3, 5, 2)).value == 17
-    assert mod_inverse(Residue(24, 5, 3)).value == 99
+        assert Residue(1, p, e).inverse().value == 1
+    assert Residue(3, 5, 2).inverse().value == 17
+    assert Residue(24, 5, 3).inverse().value == 99
 
 
 def test_denominator_divisible_by_p():
@@ -44,7 +43,7 @@ def test_not_a_unit():
     with pytest.raises(NotAUnit):
         Residue(10, 5, 2).inverse()
     with pytest.raises(NotAUnit):
-        mod_inverse(Residue(0, 7, 1))
+        Residue(0, 7, 1).inverse()
 
 
 def test_ring_mismatch_is_not_coerced():
@@ -122,8 +121,8 @@ def test_inverse_is_an_involution(p, e, v):
     if v % p == 0:
         return
     x = Residue(v, p, e)
-    assert mod_inverse(mod_inverse(x)) == x
-    assert (x * mod_inverse(x)).value == 1
+    assert x.inverse().inverse() == x
+    assert (x * x.inverse()).value == 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,19 +13,23 @@ from eigensums.bernoulli import bernoulli_numbers
 from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
 from eigensums.seqalg import (
     BUILTIN_NAMES,
-    ClosedFormData,
     EigenKind,
     SequenceSpec,
-    ZeroCNegativeIndex,
-    binom,
     binomial_transform_prefix,
     classify_eigenspace,
     classify_prefix,
+)
+
+from oracles import (
+    ClosedFormData,
+    ZeroCNegativeIndex,
+    binom,
+    binomial_transform_literal,
+    eigen_kind_literal,
+    legendre_symbol,
     second_order_terms,
     shift_weight_map,
 )
-
-from oracles import binomial_transform_literal, eigen_kind_literal, legendre_symbol
 
 F = Fraction
 
@@ -135,6 +139,21 @@ def test_closed_form_reproduces_recurrence():
     assert [cf0.term(k) for k in range(5)] == second_order_terms(0, 1, 0, 4)
     with pytest.raises(ZeroCNegativeIndex):
         cf0.term(-1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SequenceSpec.second_order(c, a1) for c in range(-3, 4) for a1 in (1, F(2, 3))],
+    ids=lambda s: s.describe(),
+)
+def test_second_order_terms_match_the_oracles(spec):
+    """The terms thm-3.2 and the harmonic store read, against the oracle's
+    own recurrence loop and, for a_1 = 1, the closed form in Q(sqrt(1+4c))."""
+    terms = list(spec.terms(40))
+    assert terms == second_order_terms(spec.c, spec.a1, 0, 40)
+    if spec.a1 == 1:
+        closed = ClosedFormData.from_c(spec.c)
+        assert terms == [closed.term(k) for k in range(41)]
 
 
 _prefixes = st.lists(
