@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 from threading import Lock
 
-from .exactnum import DenominatorDivisibleByP, Residue
+from .exactnum import DenominatorDivisibleByP, Residue, require_prime
 
 
 class IndexTooLarge(ValueError):
@@ -73,6 +73,7 @@ def bernoulli_times_p_mod_p2(m: int, x: Fraction, p: int) -> Residue:
     every B_i(x) with i <= m is p-integral by von Staudt-Clausen, and j < p,
     so only the j = 1 term p*B_m(x) survives mod p^2.  Needs p prime to b.
     """
+    require_prime(p)
     if m < 0:
         raise ValueError("m must be >= 0")
     if m >= p - 1:

@@ -7,9 +7,9 @@ side is evaluated from its closed form (a scaled deeper sum, a half-range
 recurrence sum over sequence terms reduced straight into Z/p^e, or a
 Bernoulli value at 1/3 from the mod-p^2 power sum at index <= p-2) and
 touches no harmonic table.  The closed-form sides work over plain ints and
-share one private per-prime context (the last prime only), whose entries
-are each made on first use; it never reads the harmonic store, nor the
-store it:
+share one private per-prime context, an ``exactnum._PrimeContext`` of their
+own (the last prime only, refused past MAX_PRIME), whose entries are each
+made on first use; it never reads the harmonic store, nor the store it:
 
 - Lemma 3.1's generating side reads the first differences of one depth-n
   harmonic row, H_k^(n) - H_{k-1}^(n) = H_{k-1}^(n-1)/k, with no inverse
@@ -21,7 +21,7 @@ store it:
 - Theorem 3.2's half-range sum is one dot product of two context vectors:
   the weights c^k a_{p-2k} mod p^2 (which serve mod p too), from their own
   ``terms_mod`` call, for each c, and the powers k^-power mod p^e for each
-  (power, e), every k^-1 taken from the factorials and one modular inverse.
+  (power, e), every k^-1 taken from the context's inverses, (k-1)!/k!.
 - Theorem 3.3's power sum p B_m(1/3) mod p^2 is made once per index m, and
   depths n and n+1 read the same one (m = p-n-1 for odd n, p-n for even).
 
@@ -31,16 +31,14 @@ failures are diagnosable and serialisable.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Any, Callable
+from typing import Any
 
 from .bernoulli import bernoulli_times_p_mod_p2
-from .exactnum import Residue, factorials_mod, is_prime, mod_reduce, polymul_mod
+from .exactnum import MAX_PRIME, Residue, _PrimeContext, mod_reduce, polymul_mod, require_prime
 from .harmonic import (
     harmonic_table,
     head_shifted_sum,
@@ -99,11 +97,6 @@ class NotInvariantPlus(EigenspaceMismatch):
 
 COROLLARY_VARIANTS = ("minus_head", "minus_tail", "plus_head", "plus_tail")
 
-# The largest prime a verifier accepts, ten times the primes near 10**4 the
-# checks are meant to reach.  The harmonic store allocates rows of p ints up
-# front, so a prime such as 10**11 + 3 would run until killed.
-MAX_PRIME = 10**5
-
 # Sizes the command line refuses up front, each set so that the largest
 # accepted value finishes in a few seconds.  A classification's difference
 # table is quadratic in exact terms (`classify --horizon 500` takes 0.2 s for
@@ -161,17 +154,10 @@ def _report(
     )
 
 
-def _require_prime(p: int) -> None:
-    if p > MAX_PRIME:
-        raise ValueError(f"p={p} is above the limit MAX_PRIME={MAX_PRIME}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def _require_cell(n: int, p: int, bound: int, odd: bool = False) -> None:
     """The guards the p-adic verifiers share, in the order that decides a
     sweep cell's skip reason: p prime, then the depth, then p > bound."""
-    _require_prime(p)
+    require_prime(p)
     if odd and (n < 1 or n % 2 == 0):
         raise EvenDepth(f"depth must be odd, got {n}")
     if n < 1:
@@ -223,7 +209,7 @@ def verify_lemma_2_1(
     detail = None if total == 0 else f"exact value {total}"
     if p is None:
         return _report("lemma-2.1", a.describe(), total, Fraction(0), detail=detail, n=n, m=m)
-    _require_prime(p)
+    require_prime(p)
     return _report(
         "lemma-2.1", a.describe(), mod_reduce(total, p, 1), Residue(0, p, 1), total == 0, detail,
         n=n, p=p, e=1, m=m,
@@ -285,27 +271,8 @@ def verify_corollary_1_2(
     return _report("cor-1.2", a.describe(), lhs, Residue(0, p, 1), n=n, p=p, e=1, variant=variant)
 
 
-# Held while the context is looked up or an entry is made, so that none is made twice.
-_CLOSED_FORMS = threading.RLock()
-
-
-class _ClosedForms:
-    """The closed-form sides' ingredients at one prime, as ints, each made
-    on first use and kept while the prime is the last one asked for."""
-
-    def __init__(self, p: int) -> None:
-        self.prime = p
-        self._entries: dict[tuple, Any] = {}
-
-    def _entry(self, key: tuple, make: Callable[[], Any]) -> Any:
-        with _CLOSED_FORMS:
-            if key not in self._entries:
-                self._entries[key] = make()
-            return self._entries[key]
-
-    def factorials(self, e: int) -> tuple[list[int], list[int]]:
-        """k! and 1/k! mod p^e for k < p."""
-        return self._entry(("factorials", e), lambda: factorials_mod(self.prime, self.prime**e))
+class _ClosedForms(_PrimeContext):
+    """The closed-form sides' ingredients at one prime, as ints."""
 
     def half_range_weights(self, c: int) -> list[int]:
         """c^k a_{p-2k} mod p^2, which serves mod p too, for k = 1..(p-1)/2,
@@ -319,31 +286,16 @@ class _ClosedForms:
                 weights.append(c_power * a % mod)
             return weights
 
-        return self._entry(("weights", c), make)
+        return self.entry(("weights", c), make)
 
     def half_range_powers(self, power: int, e: int) -> list[int]:
-        """k^-power mod p^e for k = 1..(p-1)/2, with k^-1 = (k-1)!/k!."""
-
-        def make() -> list[int]:
-            half, mod = (self.prime + 1) // 2, self.prime**e
-            fact, inv_fact = self.factorials(e)
-            return [pow(f * i, power, mod) for f, i in zip(fact[: half - 1], inv_fact[1:half])]
-
-        return self._entry(("powers", power, e), make)
+        """k^-power mod p^e for k = 1..(p-1)/2."""
+        half, mod = (self.prime + 1) // 2, self.prime**e
+        return self.entry(("powers", power, e), lambda: [pow(i, power, mod) for i in self.inverses(e)[1:half]])
 
     def bernoulli_at_third(self, m: int) -> Residue:
         """p B_m(1/3) mod p^2, one power sum over k < p."""
-        return self._entry(("bernoulli", m), lambda: bernoulli_times_p_mod_p2(m, Fraction(1, 3), self.prime))
-
-
-@lru_cache(maxsize=1)
-def _closed_forms_at(p: int) -> _ClosedForms:
-    return _ClosedForms(p)
-
-
-def _closed_forms(p: int) -> _ClosedForms:
-    with _CLOSED_FORMS:
-        return _closed_forms_at(p)
+        return self.entry(("bernoulli", m), lambda: bernoulli_times_p_mod_p2(m, Fraction(1, 3), self.prime))
 
 
 def _mirror_coefficients(n: int, p: int) -> list[int]:
@@ -352,11 +304,11 @@ def _mirror_coefficients(n: int, p: int) -> list[int]:
     A Taylor shift of sum_k k^-n z^k to z = 1+y: the coefficient of y^j is
     sum_k C(k, j) k^-n = (1/j!) sum_k (k! k^-n) / (k-j)!, one correlation
     of u_k = k! k^-n with the 1/i!, done as a single product mod p whose
-    low p coefficients are read.  Every k! with k < p is a unit mod p, and
-    k^-1 = (k-1)! / k!.
+    low p coefficients are read.  Every k! with k < p is a unit mod p.
     """
-    fact, inv_fact = _closed_forms(p).factorials(1)
-    u = [0] + [fact[k] * pow(fact[k - 1] * inv_fact[k], n, p) for k in range(1, p)]
+    forms = _ClosedForms.at(p)
+    fact, inv_fact = forms.factorials(1)
+    u = [0] + [f * pow(i, n, p) for f, i in zip(fact[1:], forms.inverses(1)[1:])]
     corr = polymul_mod(u[::-1], inv_fact, p, p)
     shifted = [inv_fact[j] * corr[p - 1 - j] % p for j in range(p)]
     return [-v % p if (n - 1 + j) % 2 else v for j, v in enumerate(shifted)]
@@ -401,7 +353,7 @@ def _half_range_side(c: int, n: int, p: int) -> Residue:
         e, factor, power = 2, -p * (n + 1), n + 1
     else:
         e, factor, power = 1, -2, n
-    forms = _closed_forms(p)
+    forms = _ClosedForms.at(p)
     acc = sum(map(mul, forms.half_range_weights(c), forms.half_range_powers(power, e)))
     return Residue(factor * acc, p, e)
 
@@ -429,9 +381,9 @@ def _bernoulli_side(n: int, p: int) -> Residue:
     where B_m(1/3) mod p is p B_m(1/3) mod p^2 divided by p."""
     if n % 2 == 1:
         scale = -Fraction(2 ** (n + 1) + 2, 6 ** (n + 1))
-        return mod_reduce(scale, p, 2) * _closed_forms(p).bernoulli_at_third(p - n - 1)
+        return mod_reduce(scale, p, 2) * _ClosedForms.at(p).bernoulli_at_third(p - n - 1)
     scale = -Fraction(2 ** (n + 1) + 4, n * 6**n)
-    return mod_reduce(scale, p, 1) * Residue(_closed_forms(p).bernoulli_at_third(p - n).value // p, p, 1)
+    return mod_reduce(scale, p, 1) * Residue(_ClosedForms.at(p).bernoulli_at_third(p - n).value // p, p, 1)
 
 
 def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:

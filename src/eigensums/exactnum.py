@@ -9,10 +9,12 @@ There is no floating point anywhere.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import Any, Callable
 
 __all__ = [
     "Residue",
@@ -25,10 +27,16 @@ __all__ = [
     "is_prime",
     "primes_between",
     "MAX_EXPONENT",
+    "MAX_PRIME",
 ]
 
 # Residue rings stop at p^3; nothing in the verification suite needs more.
 MAX_EXPONENT = 3
+
+# The largest prime any per-prime table or sum accepts, ten times the primes
+# near 10**4 the checks are meant to reach.  Each of them holds p ints or
+# takes p steps, so a prime such as 10**11 + 3 would run until killed.
+MAX_PRIME = 10**5
 
 
 class DenominatorDivisibleByP(ArithmeticError):
@@ -74,6 +82,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """Refuse p unless it is a prime no larger than MAX_PRIME."""
+    if p > MAX_PRIME:
+        raise ValueError(f"p={p} is above the limit MAX_PRIME={MAX_PRIME}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
@@ -221,3 +237,44 @@ def polymul_mod(a: list[int], b: list[int], m: int, size: int | None = None) -> 
     low = (packed_a * packed_b) & ((1 << (8 * width * size)) - 1)
     data = low.to_bytes(width * size, "little")
     return [int.from_bytes(data[i : i + width], "little") % m for i in range(0, width * size, width)]
+
+
+class _PrimeContext:
+    """Tables at one prime as plain ints, each made once on first use and
+    kept while p is the last prime its subclass was asked for.  Every
+    subclass gets its own one-slot cache, so two subclasses share no entry.
+    One lock guards every lookup and every entry made: ``lru_cache`` does
+    not lock around a miss."""
+
+    _lock = threading.RLock()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._made = lru_cache(maxsize=1)(cls)
+
+    def __init__(self, p: int) -> None:
+        self.prime = p
+        self._entries: dict[tuple, Any] = {}
+
+    @classmethod
+    def at(cls, p: int):
+        """The context at prime p, refused past MAX_PRIME before anything is made."""
+        require_prime(p)
+        with cls._lock:
+            return cls._made(p)
+
+    def entry(self, key: tuple, make: Callable[[], Any]) -> Any:
+        """The value under ``key``, made by ``make()`` on first use only."""
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = make()
+            return self._entries[key]
+
+    def factorials(self, e: int) -> tuple[list[int], list[int]]:
+        """k! and 1/k! mod p^e for k < p."""
+        return self.entry(("factorials", e), lambda: factorials_mod(self.prime, self.prime**e))
+
+    def inverses(self, e: int) -> list[int]:
+        """1/k = (k-1)!/k! mod p^e for k < p, with 0 at index 0."""
+        (fact, inv_fact), m = self.factorials(e), self.prime**e
+        return self.entry(("inverses", e), lambda: [0] + [f * i % m for f, i in zip(fact, inv_fact[1:])])

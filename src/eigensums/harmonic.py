@@ -1,27 +1,27 @@
 """Multiple harmonic sums mod p^e and the weighted sums built from them.
 
 H_r^(j) sums 1/(k_1...k_j) over 1 <= k_1 < ... < k_j <= r, and R_k^(j) over
-k < k_1 < ... < k_j < p.  One private store per prime holds both as depth
-rows of ints mod p^3, each a prefix (R: suffix) sum over the row below,
-H_r^(d) = sum_{k<=r} H_{k-1}^(d-1)/k; every division is by a unit k < p, so
-one row serves every e <= 3.  The store also holds the inverses of 1..p-1
-and each sequence's terms from ``SequenceSpec.terms_mod``.  The four
-weighted sums (weighted_sum_S and the three companions the vanishing
-corollaries use) read it directly and wrap only their result in a Residue;
+k < k_1 < ... < k_j < p.  One private store per prime, an
+``exactnum._PrimeContext`` of its own, holds both as depth rows of ints mod
+p^3, each a prefix (R: suffix) sum over the row below, H_r^(d) =
+sum_{k<=r} H_{k-1}^(d-1)/k; every division is by a unit k < p (read from
+the context's inverses), so one row serves every e <= 3.  It also holds
+each sequence's terms from ``SequenceSpec.terms_mod``.  The four weighted
+sums (weighted_sum_S and the three companions the vanishing corollaries
+use) read it directly and wrap only their result in a Residue;
 ``harmonic_table`` is a read-only view.  A nested-loop enumerator over
 exact rationals is the independent oracle.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import prod
 
-from .exactnum import MAX_EXPONENT, DenominatorDivisibleByP, Residue, is_prime
+from .exactnum import MAX_EXPONENT, DenominatorDivisibleByP, Residue, _PrimeContext, require_prime
 from .seqalg import SequenceSpec
 
 __all__ = [
@@ -40,39 +40,33 @@ __all__ = [
 BRUTE_MAX_PRIME = 31
 BRUTE_MAX_DEPTH = 5
 
-# Held while a store is made (lru_cache does not lock around a miss) or
-# appends a depth row, so that no store or row is built twice.
-_GROWTH = threading.Lock()
-
 
 class SizeGuard(ValueError):
     """Brute-force enumeration rejected; it would be combinatorially explosive."""
 
 
-class _PrimeStore:
-    """Inverses, depth rows and reduced sequence terms at one prime, as ints
-    mod p^MAX_EXPONENT.  ``forward[d][r]`` is H_r^(d), ``reverse[d][k]`` is
+class _PrimeStore(_PrimeContext):
+    """Depth rows and reduced sequence terms at one prime, as ints mod
+    p^MAX_EXPONENT.  ``forward[d][r]`` is H_r^(d), ``reverse[d][k]`` is
     R_k^(d), and a term whose denominator p divides is None."""
 
     def __init__(self, p: int) -> None:
-        self.prime = p
+        super().__init__(p)
         self.modulus = p**MAX_EXPONENT
-        self.inverses = [0] + [pow(k, -1, self.modulus) for k in range(1, p)]
         self.forward = [[1] * p]
         self.reverse = [[1] * p]
-        self._terms: dict[SequenceSpec, tuple[int | None, ...]] = {}
 
     def row(self, depth: int, reverse: bool = False) -> list[int]:
         """The forward (or reverse) row at ``depth``, building those below it first."""
         rows = self.reverse if reverse else self.forward
         if len(rows) <= depth:
-            with _GROWTH:
+            with self._lock:
                 while len(rows) <= depth:
                     rows.append(self._row_above(rows[-1], reverse))
         return rows[depth]
 
     def _row_above(self, below: list[int], reverse: bool) -> list[int]:
-        inv = self.inverses[1:]
+        inv = self.inverses(MAX_EXPONENT)[1:]
         if reverse:  # R_k = sum_{i>k} R'_i / i
             steps = [h * i for h, i in zip(below[1:], inv)]
             sums = list(accumulate(reversed(steps), initial=0))[::-1]
@@ -82,19 +76,7 @@ class _PrimeStore:
 
     def terms(self, a: SequenceSpec) -> tuple[int | None, ...]:
         """a_0..a_{p-1}, reduced once per sequence."""
-        if a not in self._terms:
-            self._terms[a] = a.terms_mod(self.prime, MAX_EXPONENT)
-        return self._terms[a]
-
-
-@lru_cache(maxsize=1)
-def _prime_store(p: int) -> _PrimeStore:
-    return _PrimeStore(p)
-
-
-def _store(p: int) -> _PrimeStore:
-    with _GROWTH:
-        return _prime_store(p)
+        return self.entry(("terms", a), lambda: a.terms_mod(self.prime, MAX_EXPONENT))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +105,7 @@ class HarmonicTable:
 
 
 def _check(p: int, e: int, order: int, lowest: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if not 1 <= e <= MAX_EXPONENT:
         raise ValueError(f"exponent must be in 1..{MAX_EXPONENT}, got {e}")
     if not lowest <= order <= p - 1:
@@ -137,7 +118,7 @@ def _check(p: int, e: int, order: int, lowest: int) -> None:
 def harmonic_table(p: int, j_max: int, e: int = 1) -> HarmonicTable:
     """A view of H_r^(j) over Z/p^e for r < p, j <= j_max."""
     _check(p, e, j_max, 0)
-    store = _store(p)
+    store = _PrimeStore.at(p)
     return HarmonicTable(p, e, j_max, tuple(store.row(j) for j in range(j_max + 1)))
 
 
@@ -147,7 +128,7 @@ def _nested_sum(a: SequenceSpec, j: int, p: int, e: int, top: bool, shifted: boo
     index from the product.  Only the terms where the harmonic row is
     nonzero are read, and only those raise if p divides a denominator."""
     _check(p, e, j, 1)
-    store = _store(p)
+    store = _PrimeStore.at(p)
     lo = 0 if shifted else 1
     weights = store.terms(a)[lo : lo + p - j]
     if None in weights:
@@ -155,10 +136,10 @@ def _nested_sum(a: SequenceSpec, j: int, p: int, e: int, top: bool, shifted: boo
         raise DenominatorDivisibleByP(f"sequence term at index {index} has denominator divisible by {p}")
     if top:  # k = k_j runs over j..p-1, weighted by H_{k-1}^(j-1)
         row = harmonic_table(p, j - 1, e)._rows[j - 1]  # via the view, so cache_info() counts H reads
-        factors = [row[j - 1 : p - 1], weights[::-1], store.inverses[j:]]
+        factors = [row[j - 1 : p - 1], weights[::-1], store.inverses(MAX_EXPONENT)[j:]]
     else:  # k = k_1 runs over 1..p-j, weighted by R_k^(j-1)
         row = store.row(j - 1, reverse=True)
-        factors = [row[1 : p - j + 1], weights, store.inverses[1 : p - j + 1]]
+        factors = [row[1 : p - j + 1], weights, store.inverses(MAX_EXPONENT)[1 : p - j + 1]]
     if shifted:
         factors.pop()
     return Residue(sum(map(prod, zip(*factors))), p, e)
@@ -206,8 +187,9 @@ def nested_sum_bruteforce(a: SequenceSpec, n: int, p: int) -> Fraction:
 
 def restricted_power_sum(p: int, n: int, r: int) -> Residue:
     """sum of 1/k^n over 1 <= k <= p-1 with k = r (mod 6), reduced mod p."""
-    if not is_prime(p) or p <= max(n + 1, 3):
-        raise ValueError(f"need prime p > max(n+1, 3), got p={p}, n={n}")
+    require_prime(p)
+    if p <= max(n + 1, 3):
+        raise ValueError(f"need p > max(n+1, 3), got p={p}, n={n}")
     if not 0 <= r <= 5:
         raise ValueError("residue class must be in 0..5")
     total = sum(pow(k, -n, p) for k in range(1, p) if k % 6 == r)

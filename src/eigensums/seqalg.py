@@ -20,7 +20,7 @@ from math import comb, gcd
 from typing import Callable, Iterator, Sequence
 
 from .bernoulli import bernoulli_number
-from .exactnum import factorials_mod, is_prime, polymul_mod
+from .exactnum import factorials_mod, polymul_mod, require_prime
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -221,8 +221,7 @@ class SequenceSpec:
         and a second-order recurrence whose a_1 is p-integral are computed
         mod p^e directly, without their exact values.
         """
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         if e < 1:
             raise ValueError(f"exponent must be >= 1, got {e}")
         m = p**e

@@ -24,7 +24,13 @@ from eigensums.congruence import (
     verify_theorem_3_3,
 )
 from eigensums.exactnum import mod_reduce, primes_between
-from eigensums.harmonic import nested_sum_bruteforce, weighted_sum_S
+from eigensums.harmonic import (
+    head_shifted_sum,
+    nested_sum_bruteforce,
+    tail_shifted_sum,
+    tail_weighted_sum,
+    weighted_sum_S,
+)
 from eigensums.seqalg import BUILTIN_NAMES, SequenceSpec
 
 from oracles import (
@@ -355,7 +361,7 @@ def test_large_prime_sides_never_build_exact_terms(monkeypatch):
         return exact_terms(self, n_max)
 
     monkeypatch.setattr(SequenceSpec, "terms", capped)
-    harmonic._prime_store.cache_clear()
+    harmonic._PrimeStore._made.cache_clear()
     assert [(r.lhs.value, r.rhs.value) for r in (verify_theorem_3_2(2, n, 1009) for n in (1, 2))] == [
         (908100, 908100),
         (900, 900),
@@ -377,7 +383,7 @@ def test_theorem_3_2_rhs_matches_fused_loop_as_the_context_is_evicted():
     cells = [(c, n, p) for p in (1009, 2003) for c in range(-3, 4) for n in range(1, 7)]
     random.Random(19).shuffle(cells)
     assert sum(a[2] != b[2] for a, b in zip(cells, cells[1:])) > len(cells) // 4
-    congruence._closed_forms_at.cache_clear()
+    congruence._ClosedForms._made.cache_clear()
     for c, n, p in cells:
         assert verify_theorem_3_2(c, n, p).rhs.value == theorem_3_2_half_range_fused(c, n, p), (c, n, p)
 
@@ -387,7 +393,7 @@ def test_closed_form_sides_never_read_the_harmonic_store(monkeypatch):
     p = 1009
 
     def sides():
-        congruence._closed_forms_at.cache_clear()
+        congruence._ClosedForms._made.cache_clear()
         return (
             [_half_range_side(c, n, p) for c in (-3, 0, 2) for n in range(1, 5)],
             [_bernoulli_side(n, p) for n in range(1, 5)],
@@ -398,11 +404,55 @@ def test_closed_form_sides_never_read_the_harmonic_store(monkeypatch):
         raise AssertionError("harmonic store reached")
 
     want = sides()
-    monkeypatch.setattr(harmonic, "_store", refuse)
-    monkeypatch.setattr(harmonic, "_prime_store", refuse)
+    monkeypatch.setattr(harmonic._PrimeStore, "at", refuse)
     assert sides() == want
     with pytest.raises(AssertionError, match="harmonic store reached"):
         verify_theorem_3_2(2, 1, p)  # the nested side does read it
+
+
+def test_harmonic_sides_never_read_the_closed_form_context(monkeypatch):
+    # aim 3, the converse: the four weighted sums and lemma 3.1's generating
+    # side run with the closed-form context unreachable
+    p = 1009
+    seqs = (SequenceSpec.builtin("fibonacci"), SequenceSpec.builtin("weighted_catalan"))
+    sums = (weighted_sum_S, tail_weighted_sum, head_shifted_sum, tail_shifted_sum)
+
+    def sides():
+        harmonic._PrimeStore._made.cache_clear()
+        return (
+            [f(a, n, p, e) for f in sums for a in seqs for n in range(1, 5) for e in (1, 3)],
+            [_polynomial_sides(n, p)[0] for n in (1, 2)],
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form context reached")
+
+    want = sides()
+    monkeypatch.setattr(congruence, "_mirror_coefficients", lambda n, q: None)
+    monkeypatch.setattr(congruence._ClosedForms, "at", refuse)
+    assert sides() == want
+    with pytest.raises(AssertionError, match="closed-form context reached"):
+        verify_theorem_3_2(2, 1, p)  # the half-range side does read it
+
+
+def test_the_two_contexts_share_no_entry():
+    p = 1009
+    congruence._ClosedForms._made.cache_clear()
+    harmonic._PrimeStore._made.cache_clear()
+    for n in range(1, 5):
+        verify_theorem_3_2(2, n, p)
+        verify_theorem_3_3(n, p)
+        verify_lemma_3_1(n, p)
+    store, forms = harmonic._PrimeStore.at(p), congruence._ClosedForms.at(p)
+
+    def held(context):
+        values = list(context._entries.values())
+        values += [part for v in values if isinstance(v, tuple) for part in v if isinstance(part, list)]
+        return {id(v) for v in values}
+
+    assert store is not forms and store._entries and forms._entries
+    assert not held(store) & held(forms)
+    assert not {id(row) for row in store.forward + store.reverse} & held(forms)
 
 
 def test_theorem_3_2_scaling_equivariance():
@@ -488,7 +538,7 @@ def test_theorem_3_3_shares_each_power_sum_between_depths(monkeypatch):
             scale = -F(2 ** (n + 1) + 4, n * 6**n)
             want.append(mod_reduce(scale, p, 1) * bernoulli_value_mod(p - n, third, p))
     monkeypatch.setattr(congruence, "bernoulli_times_p_mod_p2", counted)
-    congruence._closed_forms_at.cache_clear()
+    congruence._ClosedForms._made.cache_clear()
     assert [verify_theorem_3_3(n, p).rhs for n in range(1, 5)] == want
     assert calls == [p - 2, p - 4]
 

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigensums import harmonic
+from eigensums.bernoulli import bernoulli_times_p_mod_p2
 from eigensums.exactnum import (
+    MAX_PRIME,
     DenominatorDivisibleByP,
     NotAUnit,
     Residue,
@@ -15,6 +18,8 @@ from eigensums.exactnum import (
     polymul_mod,
     primes_between,
 )
+
+from eigensums.seqalg import SequenceSpec
 
 from oracles import polymul_schoolbook
 
@@ -159,3 +164,24 @@ def test_polymul_mod_extreme_coefficients():
             assert polymul_mod(full, full, m) == want, (m, length)
             for size in range(len(want) + 1):
                 assert polymul_mod(full, full, m, size) == want[:size], (m, length, size)
+
+
+STEP = SequenceSpec.builtin("step")
+PER_PRIME = {
+    "weighted_sum_S": lambda p: harmonic.weighted_sum_S(STEP, 1, p),
+    "tail_weighted_sum": lambda p: harmonic.tail_weighted_sum(STEP, 1, p),
+    "head_shifted_sum": lambda p: harmonic.head_shifted_sum(STEP, 1, p),
+    "tail_shifted_sum": lambda p: harmonic.tail_shifted_sum(STEP, 1, p),
+    "harmonic_table": lambda p: harmonic.harmonic_table(p, 1),
+    "terms_mod": lambda p: STEP.terms_mod(p),
+    "bernoulli_times_p_mod_p2": lambda p: bernoulli_times_p_mod_p2(2, Fraction(1, 3), p),
+    "restricted_power_sum": lambda p: harmonic.restricted_power_sum(p, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", PER_PRIME)
+def test_per_prime_work_refuses_primes_above_max_prime(name):
+    # 100003 is prime: refused for its size before any O(p) table or loop
+    assert is_prime(100003) and 100003 > MAX_PRIME
+    with pytest.raises(ValueError, match=f"MAX_PRIME={MAX_PRIME}"):
+        PER_PRIME[name](100003)

@@ -249,14 +249,14 @@ def test_sums_independent_of_evaluation_order():
         for variant in SUMS
     ]
     harmonic_table.cache_clear()
-    harmonic._prime_store.cache_clear()
+    harmonic._PrimeStore._made.cache_clear()
     ascending = {cell: SUMS[cell[0]](*cell[1:]) for cell in cells}
     kept_table = harmonic_table(29, 5, 3)
     # Alternate the prime at every cell, with depths descending and e
     # alternating, after dropping the views and the store the first pass
     # cached; the table kept above outlives its cache entry and its store.
     harmonic_table.cache_clear()
-    harmonic._prime_store.cache_clear()
+    harmonic._PrimeStore._made.cache_clear()
     interleaved = {}
     for j in range(6, 0, -1):
         for e in (3, 1, 2):
@@ -287,7 +287,7 @@ def test_store_builds_each_row_once_under_threads(monkeypatch):
         return {cell: SUMS[cell[0]](cell[1], cell[2], p, cell[3]) for cell in order}
 
     monkeypatch.setattr(harmonic._PrimeStore, "_row_above", counted)
-    harmonic._prime_store.cache_clear()
+    harmonic._PrimeStore._made.cache_clear()
     start = threading.Barrier(workers, timeout=60)
     results = [None] * workers
 
@@ -311,6 +311,6 @@ def test_store_builds_each_row_once_under_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     (store,) = {key[0] for key in built}
     assert built == Counter((store, reverse, d) for reverse in (False, True) for d in range(1, depth))
-    harmonic._prime_store.cache_clear()
+    harmonic._PrimeStore._made.cache_clear()
     serial = evaluate(cells)
     assert all(result == serial for result in results)
