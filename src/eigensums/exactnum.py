@@ -275,6 +275,11 @@ class _PrimeContext:
         return self.entry(("factorials", e), lambda: factorials_mod(self.prime, self.prime**e))
 
     def inverses(self, e: int) -> list[int]:
-        """1/k = (k-1)!/k! mod p^e for k < p, with 0 at index 0."""
-        (fact, inv_fact), m = self.factorials(e), self.prime**e
-        return self.entry(("inverses", e), lambda: [0] + [f * i % m for f, i in zip(fact, inv_fact[1:])])
+        """1/k = (k-1)!/k! mod p^e for k < p (0 at index 0), from factorials it does not keep."""
+
+        def make() -> list[int]:
+            m = self.prime**e
+            fact, inv_fact = factorials_mod(self.prime, m)
+            return [0] + [f * i % m for f, i in zip(fact, inv_fact[1:])]
+
+        return self.entry(("inverses", e), make)
