@@ -21,7 +21,7 @@ made on first use; it never reads the harmonic store, nor the store it:
 - Theorem 3.2's half-range sum is one dot product of two context vectors:
   the weights c^k a_{p-2k} mod p^2 (which serve mod p too), from their own
   ``terms_mod`` call, for each c, and the powers k^-power mod p^e for each
-  (power, e), every k^-1 taken from the context's inverses, (k-1)!/k!.
+  (power, e), every k^-1 taken from the context's one-pass inverses.
 - Theorem 3.3's power sum p B_m(1/3) mod p^2 is made once per index m, and
   depths n and n+1 read the same one (m = p-n-1 for odd n, p-n for even).
 

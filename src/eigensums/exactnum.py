@@ -275,11 +275,14 @@ class _PrimeContext:
         return self.entry(("factorials", e), lambda: factorials_mod(self.prime, self.prime**e))
 
     def inverses(self, e: int) -> list[int]:
-        """1/k = (k-1)!/k! mod p^e for k < p (0 at index 0), from factorials it does not keep."""
+        """1/k mod m = p^e for k < p (0 at index 0), in one pass:
+        1/k = -(m // k) * 1/(m % k), where m % k is a unit below k."""
 
         def make() -> list[int]:
             m = self.prime**e
-            fact, inv_fact = factorials_mod(self.prime, m)
-            return [0] + [f * i % m for f, i in zip(fact, inv_fact[1:])]
+            inv = [0, 1]
+            for k in range(2, self.prime):
+                inv.append(-(m // k) * inv[m % k] % m)
+            return inv
 
         return self.entry(("inverses", e), make)

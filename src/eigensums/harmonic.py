@@ -2,24 +2,28 @@
 
 H_r^(j) sums 1/(k_1...k_j) over 1 <= k_1 < ... < k_j <= r, and R_k^(j) over
 k < k_1 < ... < k_j < p.  One private store per prime, an
-``exactnum._PrimeContext`` of its own, holds both as depth rows of ints mod
-p^3, each a prefix (R: suffix) sum over the row below, H_r^(d) =
+``exactnum._PrimeContext`` of its own, holds both as depth rows mod p^3,
+each a prefix (R: suffix) sum over the row below, H_r^(d) =
 sum_{k<=r} H_{k-1}^(d-1)/k; every division is by a unit k < p (read from
 the context's inverses), so one row serves every e <= 3.  It also holds
-each sequence's terms from ``SequenceSpec.terms_mod``.  The four weighted
-sums (weighted_sum_S and the three companions the vanishing corollaries
-use) read it directly and wrap only their result in a Residue;
-``harmonic_table`` is a read-only view.  A nested-loop enumerator over
-exact rationals is the independent oracle.
+each sequence's terms from ``SequenceSpec.terms_mod``, with -1 where p
+divides a denominator.  Rows and terms are packed as 64-bit
+``array('q')``, which holds any value below p^3 < 2^63 for p <= MAX_PRIME
+in 8 bytes.  The four weighted sums (weighted_sum_S and the three
+companions the vanishing corollaries use) read it directly and wrap only
+their result in a Residue; ``harmonic_table`` is a read-only view.  A
+nested-loop enumerator over exact rationals is the independent oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import prod
+from operator import mul
 
 from .exactnum import MAX_EXPONENT, DenominatorDivisibleByP, Residue, _PrimeContext, require_prime
 from .seqalg import SequenceSpec
@@ -46,17 +50,19 @@ class SizeGuard(ValueError):
 
 
 class _PrimeStore(_PrimeContext):
-    """Depth rows and reduced sequence terms at one prime, as ints mod
-    p^MAX_EXPONENT.  ``forward[d][r]`` is H_r^(d), ``reverse[d][k]`` is
-    R_k^(d), and a term whose denominator p divides is None."""
+    """Depth rows and reduced sequence terms at one prime, packed as
+    ``array('q')`` of ints mod p^MAX_EXPONENT, 8 bytes an entry.
+    ``forward[d][r]`` is H_r^(d), ``reverse[d][k]`` is R_k^(d), and a term
+    whose denominator p divides is -1, which no value in [0, p^3) can be."""
 
     def __init__(self, p: int) -> None:
         super().__init__(p)
         self.modulus = p**MAX_EXPONENT
-        self.forward = [[1] * p]
-        self.reverse = [[1] * p]
+        ones = array("q", [1]) * p
+        self.forward = [ones]
+        self.reverse = [ones]
 
-    def row(self, depth: int, reverse: bool = False) -> list[int]:
+    def row(self, depth: int, reverse: bool = False) -> array:
         """The forward (or reverse) row at ``depth``, building those below it first."""
         rows = self.reverse if reverse else self.forward
         if len(rows) <= depth:
@@ -65,18 +71,25 @@ class _PrimeStore(_PrimeContext):
                     rows.append(self._row_above(rows[-1], reverse))
         return rows[depth]
 
-    def _row_above(self, below: list[int], reverse: bool) -> list[int]:
+    def _row_above(self, below: array, reverse: bool) -> array:
         inv = self.inverses(MAX_EXPONENT)[1:]
-        if reverse:  # R_k = sum_{i>k} R'_i / i
-            steps = [h * i for h, i in zip(below[1:], inv)]
-            sums = list(accumulate(reversed(steps), initial=0))[::-1]
+        m = self.modulus
+        if reverse:  # R_k = sum_{i>k} R'_i / i, summed from k = p-1 down
+            sums = accumulate(map(mul, reversed(below[1:]), reversed(inv)), initial=0)
         else:  # H_r = sum_{k<=r} H'_{k-1} / k
-            sums = accumulate([h * i for h, i in zip(below, inv)], initial=0)
-        return [s % self.modulus for s in sums]
+            sums = accumulate(map(mul, below, inv), initial=0)
+        row = array("q", [s % m for s in sums])
+        if reverse:
+            row.reverse()
+        return row
 
-    def terms(self, a: SequenceSpec) -> tuple[int | None, ...]:
-        """a_0..a_{p-1}, reduced once per sequence."""
-        return self.entry(("terms", a), lambda: a.terms_mod(self.prime, MAX_EXPONENT))
+    def terms(self, a: SequenceSpec) -> array:
+        """a_0..a_{p-1}, reduced once per sequence, -1 where p divides a denominator."""
+
+        def make() -> array:
+            return array("q", [-1 if t is None else t for t in a.terms_mod(self.prime, MAX_EXPONENT)])
+
+        return self.entry(("terms", a), make)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +99,7 @@ class HarmonicTable:
     prime: int
     exponent: int
     j_max: int
-    _rows: tuple[list[int], ...] = field(repr=False)  # the store's rows, mod p^MAX_EXPONENT
+    _rows: tuple[array, ...] = field(repr=False)  # the store's rows, mod p^MAX_EXPONENT
 
     def value(self, r: int, j: int) -> Residue:
         if not 0 <= r < self.prime:
@@ -98,7 +111,7 @@ class HarmonicTable:
         modulus = self.prime**self.exponent
         return [h % modulus for h in self._depth(j)]
 
-    def _depth(self, j: int) -> list[int]:
+    def _depth(self, j: int) -> array:
         if not 0 <= j <= self.j_max:
             raise ValueError(f"table only holds orders 0..{self.j_max}, got {j}")
         return self._rows[j]
@@ -131,18 +144,18 @@ def _nested_sum(a: SequenceSpec, j: int, p: int, e: int, top: bool, shifted: boo
     store = _PrimeStore.at(p)
     lo = 0 if shifted else 1
     weights = store.terms(a)[lo : lo + p - j]
-    if None in weights:
-        index = lo + weights.index(None)
+    if -1 in weights:
+        index = lo + weights.index(-1)
         raise DenominatorDivisibleByP(f"sequence term at index {index} has denominator divisible by {p}")
     if top:  # k = k_j runs over j..p-1, weighted by H_{k-1}^(j-1)
         row = harmonic_table(p, j - 1, e)._rows[j - 1]  # via the view, so cache_info() counts H reads
-        factors = [row[j - 1 : p - 1], weights[::-1], store.inverses(MAX_EXPONENT)[j:]]
+        terms, ks = map(mul, row[j - 1 : p - 1], weights[::-1]), slice(j, p)
     else:  # k = k_1 runs over 1..p-j, weighted by R_k^(j-1)
         row = store.row(j - 1, reverse=True)
-        factors = [row[1 : p - j + 1], weights, store.inverses(MAX_EXPONENT)[1 : p - j + 1]]
-    if shifted:
-        factors.pop()
-    return Residue(sum(map(prod, zip(*factors))), p, e)
+        terms, ks = map(mul, row[1 : p - j + 1], weights), slice(1, p - j + 1)
+    if not shifted:  # the shifted sums omit this index's 1/k
+        terms = map(mul, terms, store.inverses(MAX_EXPONENT)[ks])
+    return Residue(sum(terms), p, e)
 
 
 def weighted_sum_S(a: SequenceSpec, j: int, p: int, e: int = 1) -> Residue:

@@ -13,6 +13,7 @@ from eigensums.exactnum import (
     NotAUnit,
     Residue,
     RingMismatch,
+    _PrimeContext,
     is_prime,
     mod_reduce,
     polymul_mod,
@@ -164,6 +165,14 @@ def test_polymul_mod_extreme_coefficients():
             assert polymul_mod(full, full, m) == want, (m, length)
             for size in range(len(want) + 1):
                 assert polymul_mod(full, full, m, size) == want[:size], (m, length, size)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1009, 10007])
+def test_one_pass_inverses_match_pow(p):
+    context = _PrimeContext(p)
+    for e in (1, 2, 3):
+        m = p**e
+        assert context.inverses(e) == [0] + [pow(k, -1, m) for k in range(1, p)], (p, e)
 
 
 STEP = SequenceSpec.builtin("step")

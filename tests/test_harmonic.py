@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -9,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensums import harmonic
-from eigensums.exactnum import DenominatorDivisibleByP, mod_reduce, primes_between
+from eigensums.exactnum import (
+    MAX_EXPONENT,
+    MAX_PRIME,
+    DenominatorDivisibleByP,
+    is_prime,
+    mod_reduce,
+    primes_between,
+)
 from eigensums.harmonic import (
     SizeGuard,
     harmonic_table,
@@ -164,7 +172,7 @@ def test_tail_sum_is_signed_head_sum_mod_p():
 def test_undefined_terms_only_raise_when_touched():
     signed = SequenceSpec.builtin("signed_bernoulli")
     # depth 1 touches a_{p-1} = +-B_{p-1}, whose denominator p divides
-    with pytest.raises(DenominatorDivisibleByP):
+    with pytest.raises(DenominatorDivisibleByP, match="^sequence term at index 4 has denominator divisible by 5$"):
         weighted_sum_S(signed, 1, 5, 1)
     # depth 2 structurally avoids it and matches the exact enumeration
     want = mod_reduce(nested_sum_bruteforce(signed, 2, 5), 5, 1)
@@ -176,6 +184,27 @@ def test_wolstenholme_vanishing_full_range():
         table = harmonic_table(p, p - 2, 1)
         for n in range(1, p - 1):
             assert table.value(p - 1, n).value == 0, (p, n)
+    # the top of the range: H_{p-1} = 0 mod p^2 and H_{p-1}^(2) = 0 mod p
+    p = 99991
+    assert is_prime(p) and primes_between(p + 1, MAX_PRIME) == []
+    assert harmonic_table(p, 2, 2).value(p - 1, 1).value == 0
+    assert harmonic_table(p, 2, 1).value(p - 1, 2).value == 0
+    # the store packs entries mod p^MAX_EXPONENT into signed 64-bit arrays
+    assert MAX_PRIME**MAX_EXPONENT < 2**63
+
+
+def test_store_rows_take_eight_bytes_an_entry():
+    p, depth = 10007, 6
+    store = harmonic._PrimeStore(p)
+    store.inverses(MAX_EXPONENT)  # made before tracing: only the rows are measured
+    tracemalloc.start()
+    try:
+        for d in range(1, depth + 1):
+            store.row(d)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / (depth * p) < 12
 
 
 def test_restricted_power_sum_worked_examples():

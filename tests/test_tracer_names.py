@@ -1,7 +1,8 @@
 """The names bench/layers.py wraps from outside must exist in the package:
 a renamed function would read as a missing (null) per-layer metric only
 in a traced benchmark run, so it fails here first.  One traced run of each
-workload's smoke grid must also end in a well-formed report."""
+workload's smoke grid, and one of the full deep-p2003-jobs2 grid, must also
+end in a well-formed report."""
 
 import importlib
 import importlib.util
@@ -56,9 +57,7 @@ def _reject(constant):
     raise ValueError(f"{constant} is not a number JSON allows")
 
 
-@pytest.mark.parametrize("workload", sorted(RUN.WORKLOADS))
-def test_traced_smoke_run_reports_every_metric(workload):
-    _, argv = RUN.grid(workload, smoke=True)
+def _assert_traced_run_reports_every_metric(argv):
     proc = subprocess.run(
         [sys.executable, str(BENCH / "child.py"), "--trace", "--", *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -71,3 +70,13 @@ def test_traced_smoke_run_reports_every_metric(workload):
     for name, value in metrics.items():
         assert type(value) in (int, float) and math.isfinite(value), (name, value)
     assert metrics["harmonic.table.calls"] > 0
+
+
+@pytest.mark.parametrize("workload", sorted(RUN.WORKLOADS))
+def test_traced_smoke_run_reports_every_metric(workload):
+    _assert_traced_run_reports_every_metric(RUN.grid(workload, smoke=True)[1])
+
+
+def test_traced_deep_grid_reports_every_metric():
+    # the full grid, at p = 2003 and 2011, not only its p <= 31 smoke version
+    _assert_traced_run_reports_every_metric(RUN.grid("deep-p2003-jobs2", smoke=False)[1])
