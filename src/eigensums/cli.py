@@ -37,8 +37,10 @@ from .congruence import (
     COROLLARY_VARIANTS,
     MAX_CELLS,
     MAX_HORIZON,
+    MAX_M,
     MAX_MATRIX_DIM,
     MAX_PRIME,
+    MAX_TABLE_ENTRIES,
     CongruenceReport,
     EigenspaceMismatch,
     EvenDepth,
@@ -81,8 +83,10 @@ def _check_limits(theorems: Iterable[str], n_hi: int, m: int | None, horizon: in
     """Refuse what no cell of ``theorems`` up to depth ``n_hi`` can run in
     reasonable time.  ``m`` and ``horizon`` are None where none of the
     theorems reads them."""
-    if m is not None and m < 0:
-        raise ConfigInvalid(f"m must be >= 0, got {m}")
+    if m is not None:
+        if m < 0:
+            raise ConfigInvalid(f"m must be >= 0, got {m}")
+        _within("m", m, MAX_M, "MAX_M")
     if horizon is not None:
         if horizon < 1:
             raise ConfigInvalid("horizon must be >= 1")
@@ -91,6 +95,16 @@ def _check_limits(theorems: Iterable[str], n_hi: int, m: int | None, horizon: in
     _within("depth n", n_hi, MAX_PRIME, "MAX_PRIME")
     if "lemma-2.1" in theorems:  # it classifies its sequence at max(n, horizon)
         _within("lemma-2.1 depth n", n_hi, MAX_HORIZON, "MAX_HORIZON")
+
+
+def _check_store(theorems: Iterable[str], n_hi: int, p_hi: int) -> None:
+    """Refuse a grid whose harmonic store at p_hi would hold more than
+    MAX_TABLE_ENTRIES ints: up to min(2 n_hi, p_hi) rows of p_hi each, since
+    s-parity at i reads S_2i.  Lemma 2.1 reads no store, and a p past
+    MAX_PRIME is left to the verifiers, which refuse it naming MAX_PRIME."""
+    if p_hi <= MAX_PRIME and any(t != "lemma-2.1" for t in theorems):
+        entries = min(2 * n_hi, p_hi) * p_hi
+        _within("harmonic store size", entries, MAX_TABLE_ENTRIES, "MAX_TABLE_ENTRIES")
 
 
 @dataclass(frozen=True)
@@ -172,6 +186,7 @@ class SweepConfig:
         values = _axis_values(self)
         cells = sum(prod(len(values[axis]) for axis in _THEOREMS[t][0]) for t in self.theorems)
         _within("cell count", cells, MAX_CELLS, "MAX_CELLS")
+        _check_store(self.theorems, n_hi, p_hi)
 
 
 @dataclass(frozen=True)
@@ -456,6 +471,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         elif flag not in reads and given is not None and flag != "p":
             raise ConfigInvalid(f"--{flag} is not read by {args.theorem}")
     _check_limits((args.theorem,), args.n, args.m, args.horizon)
+    if args.p is not None:
+        _check_store((args.theorem,), args.n, args.p)
     cell = _Cell(
         theorem=args.theorem,
         sequence=SequenceSpec.builtin(args.sequence) if args.sequence else None,

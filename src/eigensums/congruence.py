@@ -9,19 +9,20 @@ Bernoulli value at 1/3 from the mod-p^2 power sum at index <= p-2) and
 touches no harmonic table.  The closed-form sides work over plain ints and
 share one private per-prime context, an ``exactnum._PrimeContext`` of their
 own (the last prime only, refused past MAX_PRIME), whose entries are each
-made on first use; it never reads the harmonic store, nor the store it:
+made on first use, mod its one modulus p^3; it never reads the harmonic
+store, nor the store it:
 
 - Lemma 3.1's generating side reads the first differences of one depth-n
   harmonic row, H_k^(n) - H_{k-1}^(n) = H_{k-1}^(n-1)/k, with no inverse
   per coefficient.  Its mirror side is a Taylor shift done as one
-  correlation of k! k^-n with the context's inverse factorials mod p, a
-  single polynomial product mod p by Kronecker substitution
+  correlation of k! k^-n with the context's inverse factorials, a single
+  polynomial product mod p by Kronecker substitution
   (``exactnum.polymul_mod``) of which only the p coefficients read are
   unpacked, in place of p^2 Horner steps.
 - Theorem 3.2's half-range sum is one dot product of two context vectors:
-  the weights c^k a_{p-2k} mod p^2 (which serve mod p too), from their own
-  ``terms_mod`` call, for each c, and the powers k^-power mod p^e for each
-  (power, e), every k^-1 taken from the context's one-pass inverses.
+  the weights c^k a_{p-2k}, from their own ``terms_mod`` call, for each c,
+  and the powers k^-power for each power (n = 1, 2 share k^-2), every k^-1
+  taken from the context's one-pass inverses.
 - Theorem 3.3's power sum p B_m(1/3) mod p^2 is made once per index m, and
   depths n and n+1 read the same one (m = p-n-1 for odd n, p-n for even).
 
@@ -38,7 +39,7 @@ from operator import mul
 from typing import Any
 
 from .bernoulli import bernoulli_times_p_mod_p2
-from .exactnum import MAX_PRIME, Residue, _PrimeContext, mod_reduce, polymul_mod, require_prime
+from .exactnum import MAX_EXPONENT, MAX_PRIME, Residue, _PrimeContext, mod_reduce, polymul_mod, require_prime
 from .harmonic import (
     harmonic_table,
     head_shifted_sum,
@@ -65,6 +66,8 @@ __all__ = [
     "MAX_HORIZON",
     "MAX_MATRIX_DIM",
     "MAX_CELLS",
+    "MAX_TABLE_ENTRIES",
+    "MAX_M",
     "verify_lemma_2_1",
     "verify_theorem_1_1",
     "verify_S_parity",
@@ -107,9 +110,16 @@ COROLLARY_VARIANTS = ("minus_head", "minus_tail", "plus_head", "plus_tail")
 # Each step of the matrix's row reduction is quadratic too (100 x 100 takes
 # about 2 s).  MAX_CELLS bounds the cells of one sweep, counted from its
 # axes before any is built, so a huge grid is refused, not run out of memory.
+# MAX_TABLE_ENTRIES bounds the ints one prime's harmonic store holds, 8 bytes
+# each (lemma-3.1 at p = 10007 and n = 300 builds 3 * 10**6 and peaks at
+# 44 MB).  MAX_M bounds lemma 2.1's m, whose binomials grow with its digits
+# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 3 s at
+# m = 10**6, and one n = 500 cell 35 s at a 4,001-digit m, on 2 vCPUs).
 MAX_HORIZON = 500
 MAX_MATRIX_DIM = 100
 MAX_CELLS = 10**5
+MAX_TABLE_ENTRIES = 10**7
+MAX_M = 10**6
 
 
 @dataclass(frozen=True)
@@ -272,29 +282,29 @@ def verify_corollary_1_2(
 
 
 class _ClosedForms(_PrimeContext):
-    """The closed-form sides' ingredients at one prime, as ints."""
+    """The closed-form sides' ingredients at one prime, as ints mod p^3."""
 
     def half_range_weights(self, c: int) -> list[int]:
-        """c^k a_{p-2k} mod p^2, which serves mod p too, for k = 1..(p-1)/2,
-        with a = second_order(c, 1)."""
+        """c^k a_{p-2k} mod p^3 for k = 1..(p-1)/2, with a = second_order(c, 1)."""
 
         def make() -> list[int]:
-            p, mod = self.prime, self.prime**2
+            p, mod = self.prime, self.modulus
             weights, c_power = [], 1
-            for a in SequenceSpec.second_order(c, 1).terms_mod(p, 2)[p - 2 :: -2]:
+            for a in SequenceSpec.second_order(c, 1).terms_mod(p, MAX_EXPONENT)[p - 2 :: -2]:
                 c_power = c_power * c % mod
                 weights.append(c_power * a % mod)
             return weights
 
         return self.entry(("weights", c), make)
 
-    def half_range_powers(self, power: int, e: int) -> list[int]:
-        """k^-power mod p^e for k = 1..(p-1)/2."""
-        half, mod = (self.prime + 1) // 2, self.prime**e
-        return self.entry(("powers", power, e), lambda: [pow(i, power, mod) for i in self.inverses(e)[1:half]])
+    def half_range_powers(self, power: int) -> list[int]:
+        """k^-power mod p^3 for k = 1..(p-1)/2."""
+        half = (self.prime + 1) // 2
+        return self.entry(("powers", power), lambda: [pow(i, power, self.modulus) for i in self.inverses()[1:half]])
 
     def bernoulli_at_third(self, m: int) -> Residue:
-        """p B_m(1/3) mod p^2, one power sum over k < p."""
+        """p B_m(1/3) mod p^2, one power sum over k < p.  The one entry not
+        held mod p^3: the power sum gives p B_m(1/3) exactly only mod p^2."""
         return self.entry(("bernoulli", m), lambda: bernoulli_times_p_mod_p2(m, Fraction(1, 3), self.prime))
 
 
@@ -304,11 +314,12 @@ def _mirror_coefficients(n: int, p: int) -> list[int]:
     A Taylor shift of sum_k k^-n z^k to z = 1+y: the coefficient of y^j is
     sum_k C(k, j) k^-n = (1/j!) sum_k (k! k^-n) / (k-j)!, one correlation
     of u_k = k! k^-n with the 1/i!, done as a single product mod p whose
-    low p coefficients are read.  Every k! with k < p is a unit mod p.
+    low p coefficients are read; it reduces the context's tables, mod p^3,
+    mod p.  Every k! with k < p is a unit mod p.
     """
     forms = _ClosedForms.at(p)
-    fact, inv_fact = forms.factorials(1)
-    u = [0] + [f * pow(i, n, p) for f, i in zip(fact[1:], forms.inverses(1)[1:])]
+    fact, inv_fact = forms.factorials()
+    u = [0] + [f * pow(i, n, p) for f, i in zip(fact[1:], forms.inverses()[1:])]
     corr = polymul_mod(u[::-1], inv_fact, p, p)
     shifted = [inv_fact[j] * corr[p - 1 - j] % p for j in range(p)]
     return [-v % p if (n - 1 + j) % 2 else v for j, v in enumerate(shifted)]
@@ -354,7 +365,7 @@ def _half_range_side(c: int, n: int, p: int) -> Residue:
     else:
         e, factor, power = 1, -2, n
     forms = _ClosedForms.at(p)
-    acc = sum(map(mul, forms.half_range_weights(c), forms.half_range_powers(power, e)))
+    acc = sum(map(mul, forms.half_range_weights(c), forms.half_range_powers(power)))
     return Residue(factor * acc, p, e)
 
 

@@ -240,7 +240,8 @@ def polymul_mod(a: list[int], b: list[int], m: int, size: int | None = None) -> 
 
 
 class _PrimeContext:
-    """Tables at one prime as plain ints, each made once on first use and
+    """Tables at one prime as plain ints mod ``modulus`` = p^MAX_EXPONENT,
+    which serves every e <= MAX_EXPONENT, each made once on first use and
     kept while p is the last prime its subclass was asked for.  Every
     subclass gets its own one-slot cache, so two subclasses share no entry.
     One lock guards every lookup and every entry made: ``lru_cache`` does
@@ -254,6 +255,7 @@ class _PrimeContext:
 
     def __init__(self, p: int) -> None:
         self.prime = p
+        self.modulus = p**MAX_EXPONENT
         self._entries: dict[tuple, Any] = {}
 
     @classmethod
@@ -270,19 +272,19 @@ class _PrimeContext:
                 self._entries[key] = make()
             return self._entries[key]
 
-    def factorials(self, e: int) -> tuple[list[int], list[int]]:
-        """k! and 1/k! mod p^e for k < p."""
-        return self.entry(("factorials", e), lambda: factorials_mod(self.prime, self.prime**e))
+    def factorials(self) -> tuple[list[int], list[int]]:
+        """k! and 1/k! mod p^MAX_EXPONENT for k < p."""
+        return self.entry(("factorials",), lambda: factorials_mod(self.prime, self.modulus))
 
-    def inverses(self, e: int) -> list[int]:
-        """1/k mod m = p^e for k < p (0 at index 0), in one pass:
+    def inverses(self) -> list[int]:
+        """1/k mod m = p^MAX_EXPONENT for k < p (0 at index 0), in one pass:
         1/k = -(m // k) * 1/(m % k), where m % k is a unit below k."""
 
         def make() -> list[int]:
-            m = self.prime**e
+            m = self.modulus
             inv = [0, 1]
             for k in range(2, self.prime):
                 inv.append(-(m // k) * inv[m % k] % m)
             return inv
 
-        return self.entry(("inverses", e), make)
+        return self.entry(("inverses",), make)

@@ -2,8 +2,8 @@
 
 H_r^(j) sums 1/(k_1...k_j) over 1 <= k_1 < ... < k_j <= r, and R_k^(j) over
 k < k_1 < ... < k_j < p.  One private store per prime, an
-``exactnum._PrimeContext`` of its own, holds both as depth rows mod p^3,
-each a prefix (R: suffix) sum over the row below, H_r^(d) =
+``exactnum._PrimeContext`` of its own, holds both as depth rows mod its
+modulus p^3, each a prefix (R: suffix) sum over the row below, H_r^(d) =
 sum_{k<=r} H_{k-1}^(d-1)/k; every division is by a unit k < p (read from
 the context's inverses), so one row serves every e <= 3.  It also holds
 each sequence's terms from ``SequenceSpec.terms_mod``, with -1 where p
@@ -57,7 +57,6 @@ class _PrimeStore(_PrimeContext):
 
     def __init__(self, p: int) -> None:
         super().__init__(p)
-        self.modulus = p**MAX_EXPONENT
         ones = array("q", [1]) * p
         self.forward = [ones]
         self.reverse = [ones]
@@ -72,7 +71,7 @@ class _PrimeStore(_PrimeContext):
         return rows[depth]
 
     def _row_above(self, below: array, reverse: bool) -> array:
-        inv = self.inverses(MAX_EXPONENT)[1:]
+        inv = self.inverses()[1:]
         m = self.modulus
         if reverse:  # R_k = sum_{i>k} R'_i / i, summed from k = p-1 down
             sums = accumulate(map(mul, reversed(below[1:]), reversed(inv)), initial=0)
@@ -154,7 +153,7 @@ def _nested_sum(a: SequenceSpec, j: int, p: int, e: int, top: bool, shifted: boo
         row = store.row(j - 1, reverse=True)
         terms, ks = map(mul, row[1 : p - j + 1], weights), slice(1, p - j + 1)
     if not shifted:  # the shifted sums omit this index's 1/k
-        terms = map(mul, terms, store.inverses(MAX_EXPONENT)[ks])
+        terms = map(mul, terms, store.inverses()[ks])
     return Residue(sum(terms), p, e)
 
 

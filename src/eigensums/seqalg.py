@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count, islice, repeat
+from itertools import count, islice
 from math import comb, gcd
 from typing import Callable, Iterator, Sequence
 
@@ -95,9 +95,6 @@ def classify_prefix(a: Sequence[Fraction | int]) -> EigenKind:
     return _EigenCheck(a).kind(len(a))
 
 
-_LEGENDRE3 = (0, 1, -1)  # Legendre symbol (k|3) indexed by k mod 3
-
-
 def _recurrence(a0, a1, c: int) -> Iterator:
     """a_0, a_1, ... of a_{k+1} = a_k + c*a_{k-1}, without end."""
     prev, cur = a0, a1
@@ -164,18 +161,15 @@ def _signed_bernoulli_mod(p: int, m: int) -> tuple[int | None, ...]:
 
 # name -> (a_0, a_1, ... exactly, without end; (p, p^e) -> a_0..a_{p-1} mod p^e)
 _BUILTINS: dict[str, tuple[Callable[[], Iterator], Callable[[int, int], tuple[int | None, ...]]]] = {
-    "step": (lambda: chain((0,), repeat(1)), lambda p, m: (0,) + (1,) * (p - 1)),
+    "step": (lambda: _recurrence(0, 1, 0), lambda p, m: _recurrence_mod(0, 1, 0, p, m)),
     "fibonacci": (lambda: _recurrence(0, 1, 1), lambda p, m: _recurrence_mod(0, 1, 1, p, m)),
     "lucas": (lambda: _recurrence(2, 1, 1), lambda p, m: _recurrence_mod(2, 1, 1, p, m)),
     "half_power": (lambda: (Fraction(1, 2**k) for k in count()), _half_power_mod),
     "signed_bernoulli": (lambda: ((-1) ** k * bernoulli_number(k) for k in count()), _signed_bernoulli_mod),
     # (n+1) * Catalan(n) / 4^n collapses to the central binomial over 4^n
     "weighted_catalan": (lambda: (Fraction(comb(2 * k, k), 4**k) for k in count()), _weighted_catalan_mod),
-    # (-1)^(k-1) (k|3): the c = -1 recurrence exactly, the Legendre symbol mod p^e
-    "legendre3_signed": (
-        lambda: _recurrence(0, 1, -1),
-        lambda p, m: tuple((-1) ** (k + 1) * _LEGENDRE3[k % 3] % m for k in range(p)),
-    ),
+    # (-1)^(k-1) (k|3)
+    "legendre3_signed": (lambda: _recurrence(0, 1, -1), lambda p, m: _recurrence_mod(0, 1, -1, p, m)),
     "power2_alt": (lambda: _recurrence(0, 3, 2), lambda p, m: _recurrence_mod(0, 3, 2, p, m)),  # 2^k - (-1)^k
 }
 BUILTIN_NAMES = tuple(_BUILTINS)

@@ -442,6 +442,11 @@ def test_sizes_above_the_limits_are_refused_naming_the_limit(capsys):
         # each value within its own limit, but 10**9 and 7.7 * 10**9 cells: refused before any is built
         (["sweep", "--theorem", "thm-3.2", "--n", "1..1", "--primes", "5..5", "--c=1..1000000000"], "MAX_CELLS"),
         (["sweep", "--theorem", "thm-1.1", "--n", "1..99999", "--primes", "5..99999"], "MAX_CELLS"),
+        # within every other limit, but a harmonic store of about 10**10 and 2 * 10**9 entries
+        (["verify", "--theorem", "lemma-3.1", "--n", "99989", "--p", "99991"], "MAX_TABLE_ENTRIES"),
+        (["sweep", "--theorem", "thm-1.1", "--sequence", "step", "--n", "1..9999", "--primes", "99991..99991"],
+         "MAX_TABLE_ENTRIES"),
+        (["verify", *_LEMMA_2_1, "--m", str(10**1000)], "MAX_M"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -469,6 +474,15 @@ def test_verify_and_sweep_refuse_a_negative_m_with_one_message(capsys):
     sweep = run(capsys, "sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "2..2", "--primes", "5..5",
                 "--m", "-1")
     assert verify == sweep == (2, "", "error: m must be >= 0, got -1\n")
+
+
+def test_verify_and_sweep_refuse_an_m_above_max_m_with_one_message(capsys):
+    m = str(congruence.MAX_M + 1)
+    verify = run(capsys, "verify", *_LEMMA_2_1, "--m", m)
+    sweep = run(capsys, "sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "2..2", "--primes", "5..5",
+                "--m", m)
+    assert verify == sweep == (2, "", f"error: m {m} is above the limit MAX_M={congruence.MAX_M}\n")
+    assert run(capsys, "verify", *_LEMMA_2_1, "--m", str(congruence.MAX_M))[0] == 0
 
 
 def test_sweep_depth_above_every_admissible_prime_is_refused(capsys):

@@ -455,6 +455,24 @@ def test_the_two_contexts_share_no_entry():
     assert not {id(row) for row in store.forward + store.reverse} & held(forms)
 
 
+def test_closed_form_context_holds_each_table_once_mod_p_cubed():
+    # one modulus for every table: the depths and exponents of thm-3.2 and
+    # lemma 3.1 share one inverse and one factorial table, and n = 1, 2 (and
+    # n = 3, 4) share one power vector
+    p = 1009
+    congruence._ClosedForms._made.cache_clear()
+    for n in range(1, 5):
+        verify_theorem_3_2(2, n, p)
+        verify_lemma_3_1(n, p)
+    forms = congruence._ClosedForms.at(p)
+    assert forms.modulus == p**3
+    assert set(forms._entries) == {("weights", 2), ("inverses",), ("factorials",), ("powers", 2), ("powers", 4)}
+    values = list(forms._entries.values())
+    ints = [x for v in values for part in (v if isinstance(v, tuple) else (v,)) for x in part]
+    assert len(ints) == 3 * (p - 1) // 2 + 3 * p
+    assert all(type(x) is int and 0 <= x < p**3 for x in ints)
+
+
 def test_theorem_3_2_scaling_equivariance():
     # multiplying a_1 by a unit rational scales both sides linearly
     lam = F(3, 4)

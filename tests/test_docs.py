@@ -7,7 +7,7 @@ from pathlib import Path
 from eigensums import congruence
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-LIMITS = ("MAX_PRIME", "MAX_HORIZON", "MAX_MATRIX_DIM", "MAX_CELLS")
+LIMITS = ("MAX_PRIME", "MAX_HORIZON", "MAX_MATRIX_DIM", "MAX_CELLS", "MAX_TABLE_ENTRIES", "MAX_M")
 _ROW = re.compile(r"^\s*\| `(MAX_\w+)` \| ([^|]+?) \|", re.MULTILINE)
 _SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 

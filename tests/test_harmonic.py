@@ -196,7 +196,7 @@ def test_wolstenholme_vanishing_full_range():
 def test_store_rows_take_eight_bytes_an_entry():
     p, depth = 10007, 6
     store = harmonic._PrimeStore(p)
-    store.inverses(MAX_EXPONENT)  # made before tracing: only the rows are measured
+    store.inverses()  # made before tracing: only the rows are measured
     tracemalloc.start()
     try:
         for d in range(1, depth + 1):

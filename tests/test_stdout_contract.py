@@ -3,9 +3,11 @@
 Each reference in ``bench/reference/`` is the CSV stdout and exit code of one
 CLI run.  The smoke grids and the full ``closed-form-p1009`` grid are cheap
 enough to replay in-process here; the larger full grids are replayed by the
-benchmark itself.
+benchmark itself.  ROADMAP.md's two hand-checked sweeps are pinned by the md5
+of their stdout, recorded once and never re-recorded.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,3 +27,26 @@ def test_stdout_matches_reference_bytes(capsys, name):
     out = capsys.readouterr().out.encode("utf-8")
     assert code == entry["exit_code"]
     assert out == (REFERENCE / f"{name}.csv").read_bytes()
+
+
+HAND_CHECKED = {
+    "reference sweep": (
+        ["sweep", "--theorem", "thm-1.1,s-parity,cor-1.2,thm-3.2", "--sequence", "all", "--n", "1..4",
+         "--primes", "5..400", "--c=-3..3", "--format", "csv"],
+        "38a8f3c502875290c8497fa1f728588f",
+        1,
+    ),
+    "lemma-2.1 sweep": (
+        ["sweep", "--theorem", "lemma-2.1", "--sequence", "all", "--n", "1..500", "--primes", "5..5", "--format", "csv"],
+        "9ce5889378aa40f0377792559b2bd5c8",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HAND_CHECKED)
+def test_stdout_matches_hand_checked_md5(capsys, name):
+    argv, md5, exit_code = HAND_CHECKED[name]
+    code = main(list(argv))
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (hashlib.md5(out).hexdigest(), code) == (md5, exit_code)
