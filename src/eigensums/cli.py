@@ -99,11 +99,13 @@ def _check_limits(theorems: Iterable[str], n_hi: int, m: int | None, horizon: in
 
 def _check_store(theorems: Iterable[str], n_hi: int, p_hi: int) -> None:
     """Refuse a grid whose harmonic store at p_hi would hold more than
-    MAX_TABLE_ENTRIES ints: up to min(2 n_hi, p_hi) rows of p_hi each, since
-    s-parity at i reads S_2i.  Lemma 2.1 reads no store, and a p past
+    MAX_TABLE_ENTRIES ints: up to min(2 n_hi, p_hi) forward rows of p_hi
+    each, since s-parity at i reads S_2i, and with cor-1.2 up to n_hi - 1
+    reverse rows for its tail sums.  Lemma 2.1 reads no store, and a p past
     MAX_PRIME is left to the verifiers, which refuse it naming MAX_PRIME."""
     if p_hi <= MAX_PRIME and any(t != "lemma-2.1" for t in theorems):
-        entries = min(2 * n_hi, p_hi) * p_hi
+        reverse = min(n_hi, p_hi) - 1 if "cor-1.2" in theorems else 0
+        entries = (min(2 * n_hi, p_hi) + reverse) * p_hi
         _within("harmonic store size", entries, MAX_TABLE_ENTRIES, "MAX_TABLE_ENTRIES")
 
 

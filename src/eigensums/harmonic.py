@@ -3,14 +3,15 @@
 H_r^(j) sums 1/(k_1...k_j) over 1 <= k_1 < ... < k_j <= r, and R_k^(j) over
 k < k_1 < ... < k_j < p.  One private store per prime, an
 ``exactnum._PrimeContext`` of its own, holds both as depth rows mod its
-modulus p^3, each a prefix (R: suffix) sum over the row below, H_r^(d) =
-sum_{k<=r} H_{k-1}^(d-1)/k; every division is by a unit k < p (read from
-the context's inverses), so one row serves every e <= 3.  It also holds
-each sequence's terms from ``SequenceSpec.terms_mod``, with -1 where p
-divides a denominator.  Rows and terms are packed as 64-bit
-``array('q')``, which holds any value below p^3 < 2^63 for p <= MAX_PRIME
-in 8 bytes.  The four weighted sums (weighted_sum_S and the three
-companions the vanishing corollaries use) read it directly and wrap only
+modulus p^3 by one prefix-sum recurrence, row_t^(d) = sum_{s<t}
+row_s^(d-1) * letter_s: H over the letters 1/1, ..., 1/(p-1), and R held
+mirrored, as R_{p-1-t}, over 1/(p-1), ..., 1/1.  Every letter is a unit
+mod p, so one row serves every e <= 3.  It also holds each sequence's
+terms from ``SequenceSpec.terms_mod``, with -1 where p divides a
+denominator.  Rows and terms are packed as 64-bit ``array('q')``, which
+holds any value below p^3 < 2^63 for p <= MAX_PRIME in 8 bytes.  The four
+weighted sums (weighted_sum_S and the three companions the vanishing
+corollaries use) are one dot product over either row set and wrap only
 their result in a Residue; ``harmonic_table`` is a read-only view.  A
 nested-loop enumerator over exact rationals is the independent oracle.
 """
@@ -52,8 +53,8 @@ class SizeGuard(ValueError):
 class _PrimeStore(_PrimeContext):
     """Depth rows and reduced sequence terms at one prime, packed as
     ``array('q')`` of ints mod p^MAX_EXPONENT, 8 bytes an entry.
-    ``forward[d][r]`` is H_r^(d), ``reverse[d][k]`` is R_k^(d), and a term
-    whose denominator p divides is -1, which no value in [0, p^3) can be."""
+    ``forward[d][r]`` is H_r^(d), ``reverse[d][t]`` is R_{p-1-t}^(d), and a
+    term whose denominator p divides is -1, which no value in [0, p^3) can be."""
 
     def __init__(self, p: int) -> None:
         super().__init__(p)
@@ -71,16 +72,10 @@ class _PrimeStore(_PrimeContext):
         return rows[depth]
 
     def _row_above(self, below: array, reverse: bool) -> array:
-        inv = self.inverses()[1:]
+        # the letters 1/1..1/(p-1) build H; 1/(p-1)..1/1 build R held mirrored
+        letters = self.inverses()[-1:0:-1] if reverse else self.inverses()[1:]
         m = self.modulus
-        if reverse:  # R_k = sum_{i>k} R'_i / i, summed from k = p-1 down
-            sums = accumulate(map(mul, reversed(below[1:]), reversed(inv)), initial=0)
-        else:  # H_r = sum_{k<=r} H'_{k-1} / k
-            sums = accumulate(map(mul, below, inv), initial=0)
-        row = array("q", [s % m for s in sums])
-        if reverse:
-            row.reverse()
-        return row
+        return array("q", [s % m for s in accumulate(map(mul, below, letters), initial=0)])
 
     def terms(self, a: SequenceSpec) -> array:
         """a_0..a_{p-1}, reduced once per sequence, -1 where p divides a denominator."""
@@ -146,12 +141,11 @@ def _nested_sum(a: SequenceSpec, j: int, p: int, e: int, top: bool, shifted: boo
     if -1 in weights:
         index = lo + weights.index(-1)
         raise DenominatorDivisibleByP(f"sequence term at index {index} has denominator divisible by {p}")
-    if top:  # k = k_j runs over j..p-1, weighted by H_{k-1}^(j-1)
-        row = harmonic_table(p, j - 1, e)._rows[j - 1]  # via the view, so cache_info() counts H reads
-        terms, ks = map(mul, row[j - 1 : p - 1], weights[::-1]), slice(j, p)
-    else:  # k = k_1 runs over 1..p-j, weighted by R_k^(j-1)
-        row = store.row(j - 1, reverse=True)
-        terms, ks = map(mul, row[1 : p - j + 1], weights), slice(1, p - j + 1)
+    if top:  # k = k_j = s+1 weighted by H_s^(j-1), read via the view so cache_info() counts it
+        row, ks = harmonic_table(p, j - 1, e)._rows[j - 1], slice(j, p)
+    else:  # k = k_1 = p-1-s weighted by R_k^(j-1), held mirrored at row[s]
+        row, ks = store.row(j - 1, reverse=True), slice(p - j, 0, -1)
+    terms = map(mul, row[j - 1 : p - 1], weights[::-1])  # s = j-1..p-2 with a_{p-1-s} (shifted a_{p-2-s})
     if not shifted:  # the shifted sums omit this index's 1/k
         terms = map(mul, terms, store.inverses()[ks])
     return Residue(sum(terms), p, e)

@@ -442,10 +442,13 @@ def test_sizes_above_the_limits_are_refused_naming_the_limit(capsys):
         # each value within its own limit, but 10**9 and 7.7 * 10**9 cells: refused before any is built
         (["sweep", "--theorem", "thm-3.2", "--n", "1..1", "--primes", "5..5", "--c=1..1000000000"], "MAX_CELLS"),
         (["sweep", "--theorem", "thm-1.1", "--n", "1..99999", "--primes", "5..99999"], "MAX_CELLS"),
-        # within every other limit, but a harmonic store of about 10**10 and 2 * 10**9 entries
+        # within every other limit, but a harmonic store of about 10**10, 2 * 10**9 and 1.46 * 10**7
+        # entries, the last counting cor-1.2's 48 reverse rows beside s-parity's 98 forward ones
         (["verify", "--theorem", "lemma-3.1", "--n", "99989", "--p", "99991"], "MAX_TABLE_ENTRIES"),
         (["sweep", "--theorem", "thm-1.1", "--sequence", "step", "--n", "1..9999", "--primes", "99991..99991"],
          "MAX_TABLE_ENTRIES"),
+        (["sweep", "--theorem", "s-parity,cor-1.2", "--sequence", "fibonacci", "--n", "1..49",
+          "--primes", "99991..99991"], "MAX_TABLE_ENTRIES"),
         (["verify", *_LEMMA_2_1, "--m", str(10**1000)], "MAX_M"),
     ):
         start = time.perf_counter()

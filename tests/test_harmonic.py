@@ -30,7 +30,13 @@ from eigensums.harmonic import (
 )
 from eigensums.seqalg import BUILTIN_NAMES, SequenceSpec
 
-from oracles import brute_variant, harmonic_by_enumeration, weighted_sums_exact
+from oracles import (
+    brute_variant,
+    harmonic_by_enumeration,
+    harmonic_rows_exact,
+    reverse_rows_exact,
+    weighted_sums_exact,
+)
 
 F = Fraction
 STEP = SequenceSpec.builtin("step")
@@ -205,6 +211,19 @@ def test_store_rows_take_eight_bytes_an_entry():
     finally:
         tracemalloc.stop()
     assert held / (depth * p) < 12
+
+
+def test_store_rows_match_exact_oracles_in_both_directions():
+    # forward[d][r] is H_r^(d) and reverse[d][t] is R_{p-1-t}^(d), both mod p^3
+    for p in (5, 7, 31, 43):
+        depth = min(5, p - 1)
+        store = harmonic._PrimeStore(p)
+        forward, reverse = harmonic_rows_exact(p, depth), reverse_rows_exact(p, depth)
+        for d in range(depth + 1):
+            want = [mod_reduce(h, p, MAX_EXPONENT).value for h in forward[d]]
+            assert list(store.row(d)) == want, (p, d)
+            want = [mod_reduce(reverse[d][p - 1 - t], p, MAX_EXPONENT).value for t in range(p)]
+            assert list(store.row(d, reverse=True)) == want, (p, d)
 
 
 def test_restricted_power_sum_worked_examples():

@@ -3,8 +3,9 @@
 Each reference in ``bench/reference/`` is the CSV stdout and exit code of one
 CLI run.  The smoke grids and the full ``closed-form-p1009`` grid are cheap
 enough to replay in-process here; the larger full grids are replayed by the
-benchmark itself.  ROADMAP.md's two hand-checked sweeps are pinned by the md5
-of their stdout, recorded once and never re-recorded.
+benchmark itself.  ROADMAP.md's two hand-checked sweeps and a grid of
+cor-1.2's tail sums are pinned by the md5 of their stdout, recorded once and
+never re-recorded.
 """
 
 import hashlib
@@ -39,6 +40,11 @@ HAND_CHECKED = {
     "lemma-2.1 sweep": (
         ["sweep", "--theorem", "lemma-2.1", "--sequence", "all", "--n", "1..500", "--primes", "5..5", "--format", "csv"],
         "9ce5889378aa40f0377792559b2bd5c8",
+        0,
+    ),
+    "tail grid": (  # 860 minus_tail and 860 plus_tail rows
+        ["sweep", "--theorem", "cor-1.2", "--sequence", "all", "--n", "1..9", "--primes", "5..200", "--format", "csv"],
+        "26c7bbf05e75522469b934981d1d7bdd",
         0,
     ),
 }
