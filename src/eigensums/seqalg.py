@@ -3,9 +3,11 @@
 The transform T(a)_n = sum_k C(n,k) (-1)^k a_k is an involution, so every
 sequence splits into a part it fixes (the "plus" eigenspace) and a part it
 negates (the "minus" eigenspace).  This module provides the transform over
-exact rationals, a catalogue of builtin sequences, classification against
-a finite horizon, and the second-order recurrence family a_{k+1} = a_k +
-c*a_{k-1} (a_0 = 0).
+exact rationals, a catalogue of builtin sequences and classification
+against a finite horizon.  A sequence is a name and, for six of the eight
+builtins and the whole second-order family (a_0 = 0), the start (a_0, a_1,
+c) of its recurrence a_{k+1} = a_k + c*a_{k-1}, evaluated by one kernel
+per ring: ``_recurrence`` exactly and ``_recurrence_mod`` mod p^e.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb, gcd
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bernoulli import bernoulli_number
 from .exactnum import factorials_mod, polymul_mod, require_prime
@@ -95,7 +97,7 @@ def classify_prefix(a: Sequence[Fraction | int]) -> EigenKind:
     return _EigenCheck(a).kind(len(a))
 
 
-def _recurrence(a0, a1, c: int) -> Iterator:
+def _recurrence(a0, a1, c) -> Iterator:
     """a_0, a_1, ... of a_{k+1} = a_k + c*a_{k-1}, without end."""
     prev, cur = a0, a1
     while True:
@@ -111,13 +113,6 @@ def _recurrence_mod(a0: int, a1: int, c: int, count: int, m: int) -> tuple[int, 
         prev, cur = cur, (cur + c * prev) % m
         out.append(cur)
     return tuple(out)
-
-
-def _half_power_mod(p: int, m: int) -> tuple[int | None, ...]:
-    if p == 2:  # 1/2 is the only term past a_0
-        return (1, None)
-    half = pow(2, -1, m)
-    return tuple(pow(half, k, m) for k in range(p))
 
 
 def _weighted_catalan_mod(p: int, m: int) -> tuple[int | None, ...]:
@@ -159,46 +154,49 @@ def _signed_bernoulli_mod(p: int, m: int) -> tuple[int | None, ...]:
     return signed + (None,)
 
 
-# name -> (a_0, a_1, ... exactly, without end; (p, p^e) -> a_0..a_{p-1} mod p^e)
-_BUILTINS: dict[str, tuple[Callable[[], Iterator], Callable[[int, int], tuple[int | None, ...]]]] = {
-    "step": (lambda: _recurrence(0, 1, 0), lambda p, m: _recurrence_mod(0, 1, 0, p, m)),
-    "fibonacci": (lambda: _recurrence(0, 1, 1), lambda p, m: _recurrence_mod(0, 1, 1, p, m)),
-    "lucas": (lambda: _recurrence(2, 1, 1), lambda p, m: _recurrence_mod(2, 1, 1, p, m)),
-    "half_power": (lambda: (Fraction(1, 2**k) for k in count()), _half_power_mod),
+# name -> the start (a_0, a_1, c) of a_{k+1} = a_k + c*a_{k-1}, or for a
+# series (a_0, a_1, ... exactly, without end; (p, p^e) -> a_0..a_{p-1} mod p^e)
+_BUILTINS: dict[str, tuple] = {
+    "step": (0, 1, 0),
+    "fibonacci": (0, 1, 1),
+    "lucas": (2, 1, 1),
+    "half_power": (1, Fraction(1, 2), Fraction(-1, 4)),  # 2^-k
     "signed_bernoulli": (lambda: ((-1) ** k * bernoulli_number(k) for k in count()), _signed_bernoulli_mod),
     # (n+1) * Catalan(n) / 4^n collapses to the central binomial over 4^n
     "weighted_catalan": (lambda: (Fraction(comb(2 * k, k), 4**k) for k in count()), _weighted_catalan_mod),
-    # (-1)^(k-1) (k|3)
-    "legendre3_signed": (lambda: _recurrence(0, 1, -1), lambda p, m: _recurrence_mod(0, 1, -1, p, m)),
-    "power2_alt": (lambda: _recurrence(0, 3, 2), lambda p, m: _recurrence_mod(0, 3, 2, p, m)),  # 2^k - (-1)^k
+    "legendre3_signed": (0, 1, -1),  # (-1)^(k-1) (k|3)
+    "power2_alt": (0, 3, 2),  # 2^k - (-1)^k
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 @dataclass(frozen=True, slots=True)
 class SequenceSpec:
-    """A description of a sequence: a builtin by name, or a second-order
-    recurrence a_{k+1} = a_k + c*a_{k-1} with a_0 = 0 and the given a_1."""
+    """A sequence by name: the recurrence a_{k+1} = a_k + c*a_{k-1} from
+    a_0 and a_1, or with c None a builtin series."""
 
-    kind: str  # "builtin" | "second_order"
-    name: str | None = None
-    c: int | None = None
-    a1: Fraction | None = None
+    name: str
+    a0: Fraction | int | None = None
+    a1: Fraction | int | None = None
+    c: Fraction | int | None = None
 
     @classmethod
     def builtin(cls, name: str) -> SequenceSpec:
         if name not in _BUILTINS:
             raise ValueError(f"unknown builtin sequence {name!r}")
-        return cls(kind="builtin", name=name)
+        start = _BUILTINS[name]
+        return cls(name, *start) if len(start) == 3 else cls(name)
 
     @classmethod
     def second_order(cls, c: int, a1: Fraction | int = 1) -> SequenceSpec:
-        return cls(kind="second_order", c=int(c), a1=Fraction(a1))
+        """a_{k+1} = a_k + c*a_{k-1} with a_0 = 0, the given a_1 and an integer c."""
+        if Fraction(c).denominator != 1:
+            raise ValueError(f"second_order needs an integer c, got c={c}")
+        c, a1 = int(c), Fraction(a1)
+        return cls(f"second_order(c={c},a1={a1})", 0, a1, c)
 
     def describe(self) -> str:
-        if self.kind == "builtin":
-            return str(self.name)
-        return f"second_order(c={self.c},a1={self.a1})"
+        return self.name
 
     def terms(self, n_max: int) -> tuple[Fraction, ...]:
         """Exact terms a_0..a_{n_max}."""
@@ -211,19 +209,19 @@ class SequenceSpec:
         """a_0..a_{p-1} reduced into Z/p^e as ints in [0, p^e), with None
         where p divides a term's denominator.
 
-        Equal to reducing ``terms(p - 1)`` term by term, but the builtins
-        and a second-order recurrence whose a_1 is p-integral are computed
-        mod p^e directly, without their exact values.
+        Equal to reducing ``terms(p - 1)`` term by term, but the series and
+        a recurrence whose start is p-integral are computed mod p^e
+        directly, without their exact values.
         """
         require_prime(p)
         if e < 1:
             raise ValueError(f"exponent must be >= 1, got {e}")
         m = p**e
-        if self.kind == "builtin":
+        if self.c is None:
             return _BUILTINS[self.name][1](p, m)
-        num, den = self.a1.as_integer_ratio()
-        if den % p:
-            return _recurrence_mod(0, num * pow(den, -1, m), self.c, p, m)
+        (n0, d0), (n1, d1), (nc, dc) = (x.as_integer_ratio() for x in (self.a0, self.a1, self.c))
+        if d0 % p and d1 % p and dc % p:
+            return _recurrence_mod(n0 * pow(d0, -1, m), n1 * pow(d1, -1, m), nc * pow(dc, -1, m), p, m)
         return tuple(
             None if t.denominator % p == 0 else t.numerator * pow(t.denominator, -1, m) % m
             for t in self.terms(p - 1)
@@ -236,8 +234,7 @@ class _Prefix:
     Extended only under ``_GROWTH``: a generator is not thread-safe."""
 
     def __init__(self, spec: SequenceSpec) -> None:
-        builtin = spec.kind == "builtin"
-        self.source = _BUILTINS[spec.name][0]() if builtin else _recurrence(Fraction(0), spec.a1, spec.c)
+        self.source = _BUILTINS[spec.name][0]() if spec.c is None else _recurrence(spec.a0, spec.a1, spec.c)
         self.terms: list[Fraction] = []
         self.check = _EigenCheck()
 

@@ -505,14 +505,16 @@ def test_lemma_sweep_pushes_each_term_once(capsys, monkeypatch):
     # each once, where a check per horizon would take about 10**4 transform
     # terms.
     generated = Counter()
-    source, terms_mod = seqalg._BUILTINS["step"]
+    recurrence = seqalg._recurrence
 
-    def counted_source():
-        for term in source():
-            generated["step"] += 1
+    def counted_recurrence(a0, a1, c):
+        # any recurrence but step's is counted under its own start
+        name = "step" if (a0, a1, c) == seqalg._BUILTINS["step"] else (a0, a1, c)
+        for term in recurrence(a0, a1, c):
+            generated[name] += 1
             yield term
 
-    monkeypatch.setitem(seqalg._BUILTINS, "step", (counted_source, terms_mod))
+    monkeypatch.setattr(seqalg, "_recurrence", counted_recurrence)
     pushes = []
     push = seqalg._EigenCheck.push
 

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from collections import Counter
@@ -90,6 +91,39 @@ def test_builtin_first_terms():
 def test_unknown_builtin_rejected():
     with pytest.raises(ValueError):
         SequenceSpec.builtin("catalan")
+
+
+def test_names_and_descriptions_are_pinned():
+    # --help lists BUILTIN_NAMES in this order, and describe() reaches stdout
+    names = (
+        "step", "fibonacci", "lucas", "half_power",
+        "signed_bernoulli", "weighted_catalan", "legendre3_signed", "power2_alt",
+    )
+    assert BUILTIN_NAMES == names
+    assert tuple(SequenceSpec.builtin(name).describe() for name in BUILTIN_NAMES) == names
+    got = [SequenceSpec.second_order(c, a1).describe() for c in range(-3, 4) for a1 in (1, F(2, 3))]
+    assert got == [
+        "second_order(c=-3,a1=1)", "second_order(c=-3,a1=2/3)",
+        "second_order(c=-2,a1=1)", "second_order(c=-2,a1=2/3)",
+        "second_order(c=-1,a1=1)", "second_order(c=-1,a1=2/3)",
+        "second_order(c=0,a1=1)", "second_order(c=0,a1=2/3)",
+        "second_order(c=1,a1=1)", "second_order(c=1,a1=2/3)",
+        "second_order(c=2,a1=1)", "second_order(c=2,a1=2/3)",
+        "second_order(c=3,a1=1)", "second_order(c=3,a1=2/3)",
+    ]
+
+
+@pytest.mark.parametrize("c", [F(1, 2), 2.7], ids=str)
+def test_second_order_refuses_a_non_integral_c(c):
+    # int(c) would turn 1/2 into the step recurrence and 2.7 into c = 2
+    with pytest.raises(ValueError, match=re.escape(f"c={c}")):
+        SequenceSpec.second_order(c)
+
+
+def test_second_order_accepts_an_integral_c_of_any_type():
+    for c in (F(-3), 2.0):
+        spec = SequenceSpec.second_order(c)
+        assert spec == SequenceSpec.second_order(int(c)) and type(spec.c) is int, c
 
 
 def test_shift_weight_map():
@@ -383,6 +417,19 @@ def test_signed_bernoulli_series_matches_exact_numbers(p):
     want = [_reduced_or_none((-1) ** k * b, p, 3) for k, b in enumerate(bernoulli_numbers(p - 1))]
     assert list(got) == want
     assert got[-1] is None and None not in got[:-1]
+
+
+@pytest.mark.parametrize("p", [1009, 2003])
+def test_recurrence_builtins_match_closed_forms_mod_p3(p):
+    # primes of the large-p sweeps, past the p <= 199 checked against exact terms
+    m = p**3
+    want = {
+        "half_power": [pow(2, -k, m) for k in range(p)],
+        "power2_alt": [(pow(2, k, m) - (-1) ** k) % m for k in range(p)],
+        "legendre3_signed": [(-1) ** (k + 1) * legendre_symbol(k, 3) % m for k in range(p)],
+    }
+    for name, closed in want.items():
+        assert list(SequenceSpec.builtin(name).terms_mod(p, 3)) == closed, name
 
 
 def test_terms_mod_guards():
