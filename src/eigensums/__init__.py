@@ -3,9 +3,7 @@ sequences invariant under the binomial transform."""
 
 from .exactnum import (
     DenominatorDivisibleByP,
-    NotAUnit,
     Residue,
-    RingMismatch,
     mod_reduce,
     primes_between,
 )

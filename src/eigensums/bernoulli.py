@@ -17,6 +17,16 @@ from threading import Lock
 
 from .exactnum import DenominatorDivisibleByP, Residue, require_prime
 
+__all__ = [
+    "IndexTooLarge",
+    "bernoulli_numbers",
+    "bernoulli_number",
+    "bernoulli_poly_eval",
+    "bernoulli_times_p_mod_p2",
+    "bernoulli_value_mod",
+    "check_bernoulli_identities",
+]
+
 
 class IndexTooLarge(ValueError):
     """B_m(x) mod p requested with m >= p-1, where denominators may contain p."""

@@ -236,8 +236,8 @@ def verify_theorem_1_1(
     _require_cell(n, p, n + 1, odd=True)
     _require(a, EigenKind.MINUS, horizon)
     lhs = weighted_sum_S(a, n, p, 3)
-    scale = mod_reduce(Fraction(p * (n + 1), 2), p, 3)
-    rhs = scale * weighted_sum_S(a, n + 1, p, 3)
+    scale = mod_reduce(Fraction(p * (n + 1), 2), p, 3).value
+    rhs = Residue(scale * weighted_sum_S(a, n + 1, p, 3).value, p, 3)
     return _report("thm-1.1", a.describe(), lhs, rhs, n=n, p=p, e=3)
 
 
@@ -249,9 +249,9 @@ def verify_S_parity(
     _require(a, EigenKind.MINUS, horizon)
     odd_sum = weighted_sum_S(a, 2 * i - 1, p, 3)
     even_sum = weighted_sum_S(a, 2 * i, p, 3)
-    rhs = Residue(i * p, p, 3) * even_sum
-    vanishes = odd_sum.reduce_exponent(1).value == 0
-    detail = None if vanishes else f"S_{2 * i - 1} mod p = {odd_sum.reduce_exponent(1).value}"
+    rhs = Residue(i * p * even_sum.value, p, 3)
+    vanishes = odd_sum.value % p == 0
+    detail = None if vanishes else f"S_{2 * i - 1} mod p = {odd_sum.value % p}"
     return _report(
         "s-parity", a.describe(), odd_sum, rhs, vanishes and odd_sum == rhs, detail, n=i, p=p, e=3
     )
@@ -302,10 +302,10 @@ class _ClosedForms(_PrimeContext):
         half = (self.prime + 1) // 2
         return self.entry(("powers", power), lambda: [pow(i, power, self.modulus) for i in self.inverses()[1:half]])
 
-    def bernoulli_at_third(self, m: int) -> Residue:
+    def bernoulli_at_third(self, m: int) -> int:
         """p B_m(1/3) mod p^2, one power sum over k < p.  The one entry not
         held mod p^3: the power sum gives p B_m(1/3) exactly only mod p^2."""
-        return self.entry(("bernoulli", m), lambda: bernoulli_times_p_mod_p2(m, Fraction(1, 3), self.prime))
+        return self.entry(("bernoulli", m), lambda: bernoulli_times_p_mod_p2(m, Fraction(1, 3), self.prime).value)
 
 
 def _mirror_coefficients(n: int, p: int) -> list[int]:
@@ -390,11 +390,12 @@ def _bernoulli_side(n: int, p: int) -> Residue:
     """Theorem 3.3's closed-form side: -((2^(n+1)+2)/6^(n+1)) p B_{p-n-1}(1/3)
     mod p^2 for odd n, -((2^(n+1)+4)/(n 6^n)) B_{p-n}(1/3) mod p for even n,
     where B_m(1/3) mod p is p B_m(1/3) mod p^2 divided by p."""
+    forms = _ClosedForms.at(p)
     if n % 2 == 1:
         scale = -Fraction(2 ** (n + 1) + 2, 6 ** (n + 1))
-        return mod_reduce(scale, p, 2) * _ClosedForms.at(p).bernoulli_at_third(p - n - 1)
+        return Residue(mod_reduce(scale, p, 2).value * forms.bernoulli_at_third(p - n - 1), p, 2)
     scale = -Fraction(2 ** (n + 1) + 4, n * 6**n)
-    return mod_reduce(scale, p, 1) * Residue(_ClosedForms.at(p).bernoulli_at_third(p - n).value // p, p, 1)
+    return Residue(mod_reduce(scale, p, 1).value * (forms.bernoulli_at_third(p - n) // p), p, 1)
 
 
 def verify_theorem_3_3(n: int, p: int) -> CongruenceReport:

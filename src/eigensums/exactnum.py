@@ -1,14 +1,16 @@
-"""Exact arithmetic: arbitrary-precision rationals and residue rings Z/p^e.
+"""Exact arithmetic: rationals, reduction into Z/p^e, and per-prime int tables.
 
-Every quantity in this package is exact.  Rationals are stdlib
-``fractions.Fraction`` values (always lowest terms, positive denominator);
-modular values are ``Residue`` elements that carry their ring (p, e) with
-them.  A congruence is decided by reducing exact rationals into Z/p^e.
-There is no floating point anywhere.
+Every quantity in this package is exact; there is no floating point.
+Rationals are stdlib ``fractions.Fraction`` values.  Modular work is done
+on plain ints: ``mod_reduce`` takes a rational into Z/p^e, and each
+prime's tables (``_PrimeContext``) hold ints mod p^MAX_EXPONENT.  A
+``Residue`` is only the value a verifier reports, an int in [0, p^e) with
+its ring (p, e); it does no arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +21,6 @@ from typing import Any, Callable
 __all__ = [
     "Residue",
     "DenominatorDivisibleByP",
-    "NotAUnit",
-    "RingMismatch",
     "mod_reduce",
     "polymul_mod",
     "factorials_mod",
@@ -41,14 +41,6 @@ MAX_PRIME = 10**5
 
 class DenominatorDivisibleByP(ArithmeticError):
     """Reducing q mod p^e is undefined because p divides denominator(q)."""
-
-
-class NotAUnit(ArithmeticError):
-    """Inversion of a residue that p divides."""
-
-
-class RingMismatch(TypeError):
-    """Arithmetic attempted between residues of different rings (p, e)."""
 
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10^24,
@@ -107,11 +99,13 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Residue:
-    """A canonical element of Z/p^e with the ring carried alongside.
+    """A reported value of Z/p^e: ``value`` in [0, p^e) with its ring (p, e).
 
-    ``value`` is always normalised into [0, p^e).  Two residues combine
-    arithmetically only when both p and e agree; anything else raises
-    :class:`RingMismatch` rather than coercing silently.
+    A value type only, compared and hashed as (value, prime, exponent): the
+    kernels compute over plain ints and each side of a congruence makes one
+    Residue.  Construction refuses a base that is not prime, an exponent
+    outside 1..MAX_EXPONENT and a value that is not an int, and reduces the
+    value mod p^e.
     """
 
     value: int
@@ -119,68 +113,21 @@ class Residue:
     exponent: int = 1
 
     def __post_init__(self) -> None:
+        try:
+            value = operator.index(self.value)
+        except TypeError:
+            raise TypeError(
+                f"Residue value must be an int, got {type(self.value).__name__}; reduce a rational with mod_reduce"
+            ) from None
         if not is_prime(self.prime):
             raise ValueError(f"modulus base {self.prime} is not prime")
         if not 1 <= self.exponent <= MAX_EXPONENT:
             raise ValueError(f"exponent must be in 1..{MAX_EXPONENT}, got {self.exponent}")
-        object.__setattr__(self, "value", self.value % self.prime**self.exponent)
+        object.__setattr__(self, "value", value % self.prime**self.exponent)
 
     @property
     def modulus(self) -> int:
         return self.prime**self.exponent
-
-    def _coerce(self, other: Residue | int) -> Residue:
-        if isinstance(other, Residue):
-            if (other.prime, other.exponent) != (self.prime, self.exponent):
-                raise RingMismatch(
-                    f"cannot combine Z/{self.prime}^{self.exponent} "
-                    f"with Z/{other.prime}^{other.exponent}"
-                )
-            return other
-        if isinstance(other, int):
-            return Residue(other, self.prime, self.exponent)
-        raise RingMismatch(f"cannot combine Residue with {type(other).__name__}")
-
-    def __add__(self, other: Residue | int) -> Residue:
-        other = self._coerce(other)
-        return Residue(self.value + other.value, self.prime, self.exponent)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Residue | int) -> Residue:
-        other = self._coerce(other)
-        return Residue(self.value - other.value, self.prime, self.exponent)
-
-    def __rsub__(self, other: Residue | int) -> Residue:
-        return self._coerce(other) - self
-
-    def __mul__(self, other: Residue | int) -> Residue:
-        other = self._coerce(other)
-        return Residue(self.value * other.value, self.prime, self.exponent)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value, self.prime, self.exponent)
-
-    def __pow__(self, k: int) -> Residue:
-        base = self if k >= 0 else self.inverse()
-        return Residue(pow(base.value, abs(k), self.modulus), self.prime, self.exponent)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def inverse(self) -> Residue:
-        """The y with self * y = 1 in Z/p^e; raises NotAUnit when p | value."""
-        if self.value % self.prime == 0:
-            raise NotAUnit(f"{self.value} is not a unit mod {self.prime}^{self.exponent}")
-        return Residue(pow(self.value, -1, self.modulus), self.prime, self.exponent)
-
-    def reduce_exponent(self, e: int) -> Residue:
-        """Project into the smaller ring Z/p^e (e <= current exponent)."""
-        if e > self.exponent:
-            raise ValueError(f"cannot lift exponent {self.exponent} to {e}")
-        return Residue(self.value, self.prime, e)
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.prime}^{self.exponent})"
@@ -204,6 +151,8 @@ def mod_reduce(q: Fraction | int, p: int, e: int = 1) -> Residue:
 def factorials_mod(count: int, m: int) -> tuple[list[int], list[int]]:
     """k! and 1/k! mod m for 0 <= k < count, from one modular inverse;
     (count-1)! must be a unit mod m, as every k! with k < p is mod p^e."""
+    if count < 1:
+        return [], []
     fact = [1] * count
     for k in range(1, count):
         fact[k] = fact[k - 1] * k % m

@@ -23,7 +23,7 @@ from eigensums.congruence import (
     verify_theorem_3_2,
     verify_theorem_3_3,
 )
-from eigensums.exactnum import mod_reduce, primes_between
+from eigensums.exactnum import Residue, mod_reduce, primes_between
 from eigensums.harmonic import (
     head_shifted_sum,
     nested_sum_bruteforce,
@@ -479,8 +479,8 @@ def test_theorem_3_2_scaling_equivariance():
     for c, n, p, e in ((2, 2, 11, 1), (-2, 1, 11, 2)):
         base = SequenceSpec.second_order(c, 1)
         scaled = SequenceSpec.second_order(c, lam)
-        scale = mod_reduce(lam, p, e)
-        assert weighted_sum_S(scaled, n, p, e) == scale * weighted_sum_S(base, n, p, e)
+        scale = mod_reduce(lam, p, e).value
+        assert weighted_sum_S(scaled, n, p, e) == Residue(scale * weighted_sum_S(base, n, p, e).value, p, e)
         power = n + 1 if n % 2 else n
         factor = F(-p * (n + 1)) if n % 2 else F(-2)
         rhs = [
@@ -495,7 +495,7 @@ def test_theorem_3_2_scaling_equivariance():
             )
             for spec in (base, scaled)
         ]
-        assert rhs[1] == scale * rhs[0]
+        assert rhs[1] == Residue(scale * rhs[0].value, p, e)
 
 
 # --- theorem 3.3 -----------------------------------------------------------
@@ -551,10 +551,11 @@ def test_theorem_3_3_shares_each_power_sum_between_depths(monkeypatch):
     for n in range(1, 5):
         if n % 2:
             scale = -F(2 ** (n + 1) + 2, 6 ** (n + 1))
-            want.append(mod_reduce(scale, p, 2) * bernoulli_times_p_mod_p2(p - n - 1, third, p))
+            value = mod_reduce(scale, p, 2).value * bernoulli_times_p_mod_p2(p - n - 1, third, p).value
+            want.append(Residue(value, p, 2))
         else:
             scale = -F(2 ** (n + 1) + 4, n * 6**n)
-            want.append(mod_reduce(scale, p, 1) * bernoulli_value_mod(p - n, third, p))
+            want.append(Residue(mod_reduce(scale, p, 1).value * bernoulli_value_mod(p - n, third, p).value, p, 1))
     monkeypatch.setattr(congruence, "bernoulli_times_p_mod_p2", counted)
     congruence._ClosedForms._made.cache_clear()
     assert [verify_theorem_3_3(n, p).rhs for n in range(1, 5)] == want
@@ -595,13 +596,54 @@ def test_every_verifier_lhs_agrees_with_bruteforce():
         for n, p in ((1, 5), (1, 7), (3, 11)):
             want3 = mod_reduce(nested_sum_bruteforce(spec, n, p), p, 3)
             assert verify_theorem_1_1(spec, n, p).lhs == want3
-            want1 = want3.reduce_exponent(1)
+            want1 = Residue(want3.value, p, 1)
             assert verify_corollary_1_2(spec, n, p, "minus_head").lhs == want1
     for n, p in ((1, 5), (2, 7), (3, 11)):
         e = 2 if n % 2 else 1
         want = mod_reduce(nested_sum_bruteforce(SequenceSpec.second_order(-1, 1), n, p), p, e)
         assert verify_theorem_3_2(-1, n, p).lhs == want
         assert verify_theorem_3_3(n, p).lhs == want
+
+
+def _small_grid_reports():
+    """Every report of the seven verifiers over p <= 13, n = 1..4, one
+    minus-invariant and one plus-invariant sequence and c = -3..3; the
+    cells a verifier refuses for their depth or prime are left out."""
+    for p in primes_between(2, 13):
+        for n in range(1, 5):
+            calls = [
+                lambda: verify_lemma_2_1(FIB, 2, n, p),
+                lambda: verify_theorem_1_1(FIB, n, p),
+                lambda: verify_S_parity(FIB, n, p),
+                *(
+                    lambda v=v: verify_corollary_1_2(FIB if v.startswith("minus") else HALF, n, p, v)
+                    for v in congruence.COROLLARY_VARIANTS
+                ),
+                lambda: verify_lemma_3_1(n, p),
+                *(lambda c=c: verify_theorem_3_2(c, n, p) for c in range(-3, 4)),
+                lambda: verify_theorem_3_3(n, p),
+            ]
+            for call in calls:
+                try:
+                    yield call()
+                except (EvenDepth, PrimeTooSmall):
+                    pass
+
+
+def test_every_report_carries_its_ring():
+    # both sides of a p-adic report are residues of Z/p^e for the (p, e)
+    # in its params, and an exact report's sides are rationals
+    theorems = set()
+    for report in _small_grid_reports():
+        theorems.add(report.theorem)
+        p, e = report.params["p"], report.params["e"]
+        for side in (report.lhs, report.rhs):
+            assert isinstance(side, Residue) and (side.prime, side.exponent) == (p, e), report
+        assert report.modulus == p**e, report
+    assert theorems == {"lemma-2.1", "thm-1.1", "s-parity", "cor-1.2", "lemma-3.1", "thm-3.2", "thm-3.3"}
+    for n in range(5):
+        report = verify_lemma_2_1(FIB, 2, n)
+        assert type(report.lhs) is type(report.rhs) is Fraction and report.modulus is None, report
 
 
 def test_second_order_distinct_c_values_give_distinct_reports():

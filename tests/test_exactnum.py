@@ -11,10 +11,9 @@ from eigensums.exactnum import (
     MAX_EXPONENT,
     MAX_PRIME,
     DenominatorDivisibleByP,
-    NotAUnit,
     Residue,
-    RingMismatch,
     _PrimeContext,
+    factorials_mod,
     is_prime,
     mod_reduce,
     polymul_mod,
@@ -34,9 +33,9 @@ def test_mod_reduce_worked_examples():
 
 def test_mod_inverse_worked_examples():
     for p, e in ((5, 1), (7, 2), (13, 3)):
-        assert Residue(1, p, e).inverse().value == 1
-    assert Residue(3, 5, 2).inverse().value == 17
-    assert Residue(24, 5, 3).inverse().value == 99
+        assert mod_reduce(Fraction(1, 1), p, e).value == 1
+    assert mod_reduce(Fraction(1, 3), 5, 2).value == 17
+    assert mod_reduce(Fraction(1, 24), 5, 3).value == 99
 
 
 def test_denominator_divisible_by_p():
@@ -44,20 +43,6 @@ def test_denominator_divisible_by_p():
         mod_reduce(Fraction(1, 10), 5, 1)
     with pytest.raises(DenominatorDivisibleByP):
         mod_reduce(Fraction(3, 49), 7, 2)
-
-
-def test_not_a_unit():
-    with pytest.raises(NotAUnit):
-        Residue(10, 5, 2).inverse()
-    with pytest.raises(NotAUnit):
-        Residue(0, 7, 1).inverse()
-
-
-def test_ring_mismatch_is_not_coerced():
-    with pytest.raises(RingMismatch):
-        Residue(1, 5, 1) + Residue(1, 7, 1)
-    with pytest.raises(RingMismatch):
-        Residue(1, 5, 1) * Residue(1, 5, 2)
 
 
 def test_ring_validation():
@@ -72,20 +57,20 @@ def test_ring_validation():
 def test_canonical_value_and_ops():
     r = Residue(-1, 5, 2)
     assert r.value == 24
-    assert (r + 1).value == 0
-    assert (2 * r).value == 23
-    assert (-r).value == 1
-    assert (r - 30).value == 19
-    assert (r**2).value == 1
-    assert (r ** -1).value == 24  # -1 is its own inverse
-    assert int(r) == 24
+    assert r.modulus == 25
+    assert r == Residue(49, 5, 2) != Residue(24, 5, 3)
+    assert str(r) == "24 (mod 5^2)"
 
 
-def test_reduce_exponent():
-    r = mod_reduce(Fraction(35, 24), 5, 3)
-    assert r.reduce_exponent(1) == mod_reduce(Fraction(35, 24), 5, 1)
-    with pytest.raises(ValueError):
-        r.reduce_exponent(4)
+@pytest.mark.parametrize("value", [Fraction(1, 2), 1.5])
+def test_residue_refuses_a_value_that_is_not_an_int(value):
+    with pytest.raises(TypeError, match="mod_reduce"):
+        Residue(value, 7)
+
+
+def test_factorials_mod_of_no_terms_is_empty():
+    assert factorials_mod(0, 125) == ([], [])
+    assert factorials_mod(1, 125) == ([1], [1])
 
 
 def test_primes_between():
@@ -117,19 +102,10 @@ _fracs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 def test_reduction_is_a_ring_homomorphism(p, e, q, r):
     if q.denominator % p == 0 or r.denominator % p == 0:
         return
-    assert mod_reduce(q + r, p, e) == mod_reduce(q, p, e) + mod_reduce(r, p, e)
-    assert mod_reduce(q * r, p, e) == mod_reduce(q, p, e) * mod_reduce(r, p, e)
-
-
-@pytest.mark.parametrize("p,e", [(5, 2), (11, 3)])
-@settings(max_examples=80, deadline=None)
-@given(v=st.integers(min_value=1, max_value=10**6))
-def test_inverse_is_an_involution(p, e, v):
-    if v % p == 0:
-        return
-    x = Residue(v, p, e)
-    assert x.inverse().inverse() == x
-    assert (x * x.inverse()).value == 1
+    m = p**e
+    x, y = mod_reduce(q, p, e).value, mod_reduce(r, p, e).value
+    assert mod_reduce(q + r, p, e).value == (x + y) % m
+    assert mod_reduce(q * r, p, e).value == x * y % m
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,7 +114,7 @@ def test_reduction_consistent_across_exponents(q):
     p = 7
     if q.denominator % p == 0:
         return
-    assert mod_reduce(q, p, 3).reduce_exponent(1) == mod_reduce(q, p, 1)
+    assert mod_reduce(q, p, 3).value % p == mod_reduce(q, p, 1).value
 
 
 def test_polymul_mod_matches_schoolbook():

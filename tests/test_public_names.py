@@ -1,8 +1,12 @@
 """Every name a module of ``eigensums`` lists in ``__all__`` must exist, so
-that ``from eigensums.<module> import *`` does not raise on a stale entry."""
+that ``from eigensums.<module> import *`` does not raise on a stale entry,
+and every name the package imports from a module must be in that module's
+``__all__``, so that a name dropped from one is dropped from the other."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,15 @@ def test_every_name_in_all_exists(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, missing
+
+
+def test_every_package_import_is_in_its_module_all():
+    tree = ast.parse(Path(eigensums.__file__).read_text())
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in getattr(importlib.import_module(f"eigensums.{node.module}"), "__all__", ())
+    ]
+    assert not unlisted, unlisted
