@@ -6,7 +6,7 @@ Each theorem is registered by one entry in ``_THEOREMS`` (the grid axes a
 sweep crosses and a runner for one cell) plus its verifier in
 ``congruence``; ``verify`` and ``sweep`` both dispatch through that table.
 The axes also decide which flags ``verify`` reads.  Both commands share
-one limits check, and all three output formats one column builder.
+one size check, and all three output formats one column builder.
 Sweep cells that violate a result's hypotheses (wrong parity, prime too
 small, sequence in the wrong eigenspace, a denominator divisible by p) are
 skipped and counted rather than failed.  Cells run serially and the output
@@ -35,12 +35,6 @@ from typing import Any, Callable, Iterable, Sequence
 from .centralfact import RationalMatrix, coefficient_matrix, row_reduce
 from .congruence import (
     COROLLARY_VARIANTS,
-    MAX_CELLS,
-    MAX_HORIZON,
-    MAX_M,
-    MAX_MATRIX_DIM,
-    MAX_PRIME,
-    MAX_TABLE_ENTRIES,
     CongruenceReport,
     EigenspaceMismatch,
     EvenDepth,
@@ -54,7 +48,7 @@ from .congruence import (
     verify_theorem_3_2,
     verify_theorem_3_3,
 )
-from .exactnum import DenominatorDivisibleByP, Residue, primes_between
+from .exactnum import MAX_PRIME, DenominatorDivisibleByP, Residue, primes_between
 from .seqalg import (
     BUILTIN_NAMES,
     DEFAULT_HORIZON,
@@ -73,16 +67,44 @@ class ConfigInvalid(ValueError):
     """A sweep or verify configuration that cannot be run."""
 
 
+# Sizes refused up front, each set so that the largest accepted value
+# finishes in a few seconds.  A classification's difference table is
+# quadratic in exact terms (`classify --horizon 500` takes 0.2 s for
+# fibonacci and 0.6 s for signed_bernoulli, the slowest builtin, on 2 vCPUs).
+# MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma classifies
+# its sequence at horizon max(n, horizon) and sums n+1 terms per n
+# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 2 s).
+# Each step of the matrix's row reduction is quadratic too (100 x 100 takes
+# about 2 s).  MAX_CELLS bounds the cells of one sweep, counted from its
+# axes before any is built, so a huge grid is refused, not run out of memory.
+# MAX_TABLE_ENTRIES bounds the ints one prime's harmonic store holds, 8 bytes
+# each (lemma-3.1 at p = 10007 and n = 300 builds 3 * 10**6 and peaks at
+# 44 MB).  MAX_M bounds lemma 2.1's m, whose binomials grow with its digits
+# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 3 s at
+# m = 10**6, and one n = 500 cell 35 s at a 4,001-digit m, on 2 vCPUs).
+MAX_HORIZON = 500
+MAX_MATRIX_DIM = 100
+MAX_CELLS = 10**5
+MAX_TABLE_ENTRIES = 10**7
+MAX_M = 10**6
+
+
 def _within(what: str, value: int, limit: int, name: str) -> None:
-    """Refuse a size above one of the limits in ``congruence``."""
+    """Refuse a size above one of the limits above or MAX_PRIME."""
     if value > limit:
         raise ConfigInvalid(f"{what} {value} is above the limit {name}={limit}")
 
 
-def _check_limits(theorems: Iterable[str], n_hi: int, m: int | None, horizon: int | None) -> None:
-    """Refuse what no cell of ``theorems`` up to depth ``n_hi`` can run in
-    reasonable time.  ``m`` and ``horizon`` are None where none of the
-    theorems reads them."""
+def _check_sizes(
+    theorems: Sequence[str], n_hi: int, m: int | None, horizon: int | None, cells: int = 1, p_hi: int | None = None
+) -> None:
+    """Refuse a grid of ``cells`` cells of ``theorems`` up to depth ``n_hi``
+    that could not run in reasonable time or memory, naming the first limit
+    it breaks in the order below.  ``m`` and ``horizon`` are None where no
+    theorem reads them, ``p_hi`` where no prime is given.  The harmonic store
+    at p_hi holds up to min(2 n_hi, p_hi) forward rows of p_hi ints, since
+    s-parity at i reads S_2i, and with cor-1.2 up to n_hi - 1 reverse rows.
+    Lemma 2.1 reads no store; a p past MAX_PRIME is left to the verifiers."""
     if m is not None:
         if m < 0:
             raise ConfigInvalid(f"m must be >= 0, got {m}")
@@ -95,15 +117,8 @@ def _check_limits(theorems: Iterable[str], n_hi: int, m: int | None, horizon: in
     _within("depth n", n_hi, MAX_PRIME, "MAX_PRIME")
     if "lemma-2.1" in theorems:  # it classifies its sequence at max(n, horizon)
         _within("lemma-2.1 depth n", n_hi, MAX_HORIZON, "MAX_HORIZON")
-
-
-def _check_store(theorems: Iterable[str], n_hi: int, p_hi: int) -> None:
-    """Refuse a grid whose harmonic store at p_hi would hold more than
-    MAX_TABLE_ENTRIES ints: up to min(2 n_hi, p_hi) forward rows of p_hi
-    each, since s-parity at i reads S_2i, and with cor-1.2 up to n_hi - 1
-    reverse rows for its tail sums.  Lemma 2.1 reads no store, and a p past
-    MAX_PRIME is left to the verifiers, which refuse it naming MAX_PRIME."""
-    if p_hi <= MAX_PRIME and any(t != "lemma-2.1" for t in theorems):
+    _within("cell count", cells, MAX_CELLS, "MAX_CELLS")
+    if p_hi is not None and p_hi <= MAX_PRIME and any(t != "lemma-2.1" for t in theorems):
         reverse = min(n_hi, p_hi) - 1 if "cor-1.2" in theorems else 0
         entries = (min(2 * n_hi, p_hi) + reverse) * p_hi
         _within("harmonic store size", entries, MAX_TABLE_ENTRIES, "MAX_TABLE_ENTRIES")
@@ -149,6 +164,15 @@ _THEOREMS: dict[str, tuple[tuple[str, ...], Callable[[_Cell], CongruenceReport]]
 THEOREM_IDS = tuple(_THEOREMS)
 
 
+# Flags of `verify` that only some theorems read, and the value one left out
+# gets (None: it is required); `sweep` and `SweepConfig` take c, m and the
+# horizon from here too.  A theorem reads the flags its grid axes name, plus
+# --horizon when it classifies a sequence, and refuses the others.  --p is
+# read by every theorem: lemma-2.1, which has no p axis, reports over the
+# rationals alone when --p is left out.
+_FLAG_DEFAULTS = {"sequence": "step", "p": None, "c": 1, "variant": None, "m": 2, "horizon": DEFAULT_HORIZON}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """A grid of verification cells: theorems x sequences x n x primes."""
@@ -157,9 +181,9 @@ class SweepConfig:
     sequences: tuple[str, ...]
     n_range: tuple[int, int]
     prime_range: tuple[int, int]
-    c_values: Sequence[int] = (1,)
-    m: int = 2
-    horizon: int = DEFAULT_HORIZON
+    c_values: Sequence[int] = (_FLAG_DEFAULTS["c"],)
+    m: int = _FLAG_DEFAULTS["m"]
+    horizon: int = _FLAG_DEFAULTS["horizon"]
 
     def validate(self) -> None:
         if not self.theorems:
@@ -184,11 +208,9 @@ class SweepConfig:
             raise ConfigInvalid(f"no primes in range {p_lo}..{p_hi}")
         if not self.c_values:
             raise ConfigInvalid("at least one c value is required")
-        _check_limits(self.theorems, n_hi, self.m, self.horizon)
         values = _axis_values(self)
         cells = sum(prod(len(values[axis]) for axis in _THEOREMS[t][0]) for t in self.theorems)
-        _within("cell count", cells, MAX_CELLS, "MAX_CELLS")
-        _check_store(self.theorems, n_hi, p_hi)
+        _check_sizes(self.theorems, n_hi, self.m, self.horizon, cells, p_hi)
 
 
 @dataclass(frozen=True)
@@ -418,25 +440,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify a single (theorem, sequence, n, p) cell")
     verify.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    verify.add_argument("--sequence", choices=BUILTIN_NAMES, help="default step, where the theorem reads one")
+    verify.add_argument("--sequence", choices=BUILTIN_NAMES,
+                        help=f"default {_FLAG_DEFAULTS['sequence']}, where the theorem reads one")
     verify.add_argument("--n", type=int, default=1, help="depth (or index i for s-parity)")
     verify.add_argument("--p", type=int, help="prime modulus base")
-    verify.add_argument("--c", type=int, help="recurrence coefficient for thm-3.2 (default 1)")
-    verify.add_argument("--m", type=int, help="free parameter for lemma-2.1 (default 2)")
+    verify.add_argument("--c", type=int, help=f"recurrence coefficient for thm-3.2 (default {_FLAG_DEFAULTS['c']})")
+    verify.add_argument("--m", type=int, help=f"free parameter for lemma-2.1 (default {_FLAG_DEFAULTS['m']})")
     verify.add_argument("--variant", choices=COROLLARY_VARIANTS, help="required for cor-1.2")
     verify.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-    verify.add_argument("--horizon", type=int, help=f"classification horizon (default {DEFAULT_HORIZON})")
+    verify.add_argument("--horizon", type=int, help=f"classification horizon (default {_FLAG_DEFAULTS['horizon']})")
 
     sweep = sub.add_parser("sweep", help="verify a grid of cells")
     sweep.add_argument("--theorem", default="all", help="comma-separated theorem ids, or 'all'")
     sweep.add_argument("--sequence", default="all", help="comma-separated builtin names, or 'all'")
     sweep.add_argument("--n", default="1..2", help="depth range LO..HI")
     sweep.add_argument("--primes", required=True, help="prime range LO..HI (inclusive)")
-    sweep.add_argument("--c", default="1", help="c values for thm-3.2: LO..HI or comma list, e.g. -3..3")
-    sweep.add_argument("--m", type=int, default=2)
+    sweep.add_argument("--c", default=str(_FLAG_DEFAULTS["c"]),
+                       help="c values for thm-3.2: LO..HI or comma list, e.g. -3..3")
+    sweep.add_argument("--m", type=int, default=_FLAG_DEFAULTS["m"])
     sweep.add_argument("--jobs", type=int, default=1, help="accepted (>= 1) but unused: sweeps run serially")
     sweep.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-    sweep.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    sweep.add_argument("--horizon", type=int, default=_FLAG_DEFAULTS["horizon"])
 
     classify = sub.add_parser("classify", help="classify a sequence's eigenspace")
     classify.add_argument("--sequence", required=True, choices=BUILTIN_NAMES)
@@ -453,18 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags of `verify` that only some theorems read, and the value one left out
-# gets (None: it is required).  A theorem reads the flags its grid axes name,
-# plus --horizon when it classifies a sequence, and refuses the others.  --p
-# is read by every theorem: lemma-2.1, which has no p axis, reports over the
-# rationals alone when --p is left out.
-_VERIFY_FLAG_DEFAULTS = {"sequence": "step", "p": None, "c": 1, "variant": None, "m": 2, "horizon": DEFAULT_HORIZON}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     axes = _THEOREMS[args.theorem][0]
     reads = {*axes, "horizon"} if "sequence" in axes else set(axes)
-    for flag, default in _VERIFY_FLAG_DEFAULTS.items():
+    for flag, default in _FLAG_DEFAULTS.items():
         given = getattr(args, flag)
         if flag in reads and given is None:
             if default is None:
@@ -472,9 +488,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             setattr(args, flag, default)
         elif flag not in reads and given is not None and flag != "p":
             raise ConfigInvalid(f"--{flag} is not read by {args.theorem}")
-    _check_limits((args.theorem,), args.n, args.m, args.horizon)
-    if args.p is not None:
-        _check_store((args.theorem,), args.n, args.p)
+    _check_sizes((args.theorem,), args.n, args.m, args.horizon, p_hi=args.p)
     cell = _Cell(
         theorem=args.theorem,
         sequence=SequenceSpec.builtin(args.sequence) if args.sequence else None,
@@ -525,11 +539,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     _within("--horizon", args.horizon, MAX_HORIZON, "MAX_HORIZON")
-    spec = SequenceSpec.builtin(args.sequence)
-    try:
-        transformed = binomial_transform_prefix(spec.terms(args.horizon))
-    except ValueError as exc:
-        raise ConfigInvalid(f"--horizon {args.horizon}: {exc}") from exc
+    if args.horizon < 0:
+        raise ConfigInvalid(f"--horizon {args.horizon}: must be >= 0")
+    transformed = binomial_transform_prefix(SequenceSpec.builtin(args.sequence).terms(args.horizon))
     sys.stdout.write(" ".join(str(x) for x in transformed) + "\n")
     return 0
 

@@ -32,14 +32,14 @@ failures are diagnosable and serialisable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Any
 
 from .bernoulli import bernoulli_times_p_mod_p2
-from .exactnum import MAX_EXPONENT, MAX_PRIME, Residue, _PrimeContext, mod_reduce, polymul_mod, require_prime
+from .exactnum import MAX_EXPONENT, Residue, _PrimeContext, mod_reduce, polymul_mod, require_prime
 from .harmonic import (
     harmonic_table,
     head_shifted_sum,
@@ -62,12 +62,6 @@ __all__ = [
     "NotInvariantMinus",
     "NotInvariantPlus",
     "COROLLARY_VARIANTS",
-    "MAX_PRIME",
-    "MAX_HORIZON",
-    "MAX_MATRIX_DIM",
-    "MAX_CELLS",
-    "MAX_TABLE_ENTRIES",
-    "MAX_M",
     "verify_lemma_2_1",
     "verify_theorem_1_1",
     "verify_S_parity",
@@ -100,28 +94,6 @@ class NotInvariantPlus(EigenspaceMismatch):
 
 COROLLARY_VARIANTS = ("minus_head", "minus_tail", "plus_head", "plus_tail")
 
-# Sizes the command line refuses up front, each set so that the largest
-# accepted value finishes in a few seconds.  A classification's difference
-# table is quadratic in exact terms (`classify --horizon 500` takes 0.2 s for
-# fibonacci and 0.6 s for signed_bernoulli, the slowest builtin, on 2 vCPUs).
-# MAX_HORIZON also bounds lemma 2.1's depth n, since that lemma classifies
-# its sequence at horizon max(n, horizon) and sums n+1 terms per n
-# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 2 s).
-# Each step of the matrix's row reduction is quadratic too (100 x 100 takes
-# about 2 s).  MAX_CELLS bounds the cells of one sweep, counted from its
-# axes before any is built, so a huge grid is refused, not run out of memory.
-# MAX_TABLE_ENTRIES bounds the ints one prime's harmonic store holds, 8 bytes
-# each (lemma-3.1 at p = 10007 and n = 300 builds 3 * 10**6 and peaks at
-# 44 MB).  MAX_M bounds lemma 2.1's m, whose binomials grow with its digits
-# (`sweep --theorem lemma-2.1 --sequence all --n 1..500` takes about 3 s at
-# m = 10**6, and one n = 500 cell 35 s at a 4,001-digit m, on 2 vCPUs).
-MAX_HORIZON = 500
-MAX_MATRIX_DIM = 100
-MAX_CELLS = 10**5
-MAX_TABLE_ENTRIES = 10**7
-MAX_M = 10**6
-
-
 @dataclass(frozen=True)
 class CongruenceReport:
     """Outcome of one congruence check.
@@ -133,7 +105,7 @@ class CongruenceReport:
 
     theorem: str
     sequence: str
-    params: dict[str, Any] = field(compare=True)
+    params: dict[str, Any]
     lhs: Residue | Fraction = Fraction(0)
     rhs: Residue | Fraction = Fraction(0)
     modulus: int | None = None
@@ -184,8 +156,9 @@ def _require(a: SequenceSpec, kind: EigenKind, horizon: int) -> None:
 
 def lemma_2_1_sum(a: SequenceSpec, m: int, n: int) -> Fraction:
     """The exact value of sum_{k<=n} [C((m-1)n+k-1, k) + (-1)^(n-k) C(mn, k)] a_{n-k}."""
-    if m < 0 or n < 0:
-        raise ValueError("need m >= 0 and n >= 0")
+    for name, value in (("m", m), ("n", n)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     terms = a.terms(n)
     den = lcm(*(t.denominator for t in terms))
     # C(N+k-1, k) = N(N+1)...(N+k-1)/k! with N = (m-1)n, which holds for N <= 0
@@ -236,8 +209,7 @@ def verify_theorem_1_1(
     _require_cell(n, p, n + 1, odd=True)
     _require(a, EigenKind.MINUS, horizon)
     lhs = weighted_sum_S(a, n, p, 3)
-    scale = mod_reduce(Fraction(p * (n + 1), 2), p, 3).value
-    rhs = Residue(scale * weighted_sum_S(a, n + 1, p, 3).value, p, 3)
+    rhs = Residue(p * (n + 1) // 2 * weighted_sum_S(a, n + 1, p, 3).value, p, 3)
     return _report("thm-1.1", a.describe(), lhs, rhs, n=n, p=p, e=3)
 
 

@@ -116,19 +116,14 @@ def _recurrence_mod(a0: int, a1: int, c: int, count: int, m: int) -> tuple[int, 
 
 
 def _weighted_catalan_mod(p: int, m: int) -> tuple[int | None, ...]:
-    """C(2k, k)/4^k by the term ratio (2k-1)/(2k), keeping the power of p
-    apart from the unit part.  For k < p each of 2k-1 and 2k holds p at
-    most once."""
-    out: list[int | None] = [1]
-    unit, val = 1, 0
+    """C(2k, k)/4^k by the term ratio (2k-1)/(2k).  For odd p every 2k with
+    k < p is a unit and a numerator 2k-1 = p is a plain factor; p = 2 is the
+    one prime in a denominator, a_1 = 1/2."""
+    if p == 2:
+        return (1, None)
+    out = [1]
     for k in range(1, p):
-        num, den = 2 * k - 1, 2 * k
-        if num % p == 0:
-            num, val = num // p, val + 1
-        if den % p == 0:
-            den, val = den // p, val - 1
-        unit = unit * num * pow(den, -1, m) % m
-        out.append(None if val < 0 else unit * p**val % m)
+        out.append(out[-1] * (2 * k - 1) * pow(2 * k, -1, m) % m)
     return tuple(out)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigensums import congruence, seqalg
+from eigensums import cli, congruence, seqalg
 from eigensums.cli import (
     _THEOREMS,
     THEOREM_IDS,
@@ -18,8 +18,8 @@ from eigensums.cli import (
     parse_reports,
     run_sweep,
 )
-from eigensums.congruence import MAX_PRIME, CongruenceReport, verify_theorem_3_3
-from eigensums.exactnum import Residue
+from eigensums.congruence import CongruenceReport, verify_theorem_3_3
+from eigensums.exactnum import MAX_PRIME, Residue
 from eigensums.seqalg import DEFAULT_HORIZON, SequenceSpec
 
 
@@ -192,6 +192,7 @@ def test_classify_and_transform_commands(capsys):
         ["transform", "--sequence", "step", "--horizon", "3000"],
         ["matrix", "--rows", "400", "--cols", "400"],
         ["matrix", "--cols", "101"],
+        ["transform", "--sequence", "step", "--horizon", "-3"],
     ],
 )
 def test_bad_classify_transform_matrix_inputs_give_one_error_line(capsys, argv):
@@ -246,6 +247,7 @@ _THM_3_3 = ["--theorem", "thm-3.3", "--n", "1", "--p", "7"]
         [*_THM_3_3, "--horizon", "3"],
         [*_LEMMA_2_1, "--horizon", "501"],
         [*_LEMMA_2_1, "--n", "3000"],
+        [*_LEMMA_2_1, "--n", "-1"],
     ],
 )
 def test_bad_verify_inputs_give_one_error_line(capsys, bad):
@@ -253,6 +255,13 @@ def test_bad_verify_inputs_give_one_error_line(capsys, bad):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_refusals_name_the_value_that_is_wrong(capsys):
+    assert run(capsys, "verify", *_LEMMA_2_1, "--n", "-1") == (2, "", "error: n must be >= 0, got -1\n")
+    assert run(capsys, "transform", "--sequence", "step", "--horizon", "-3") == (
+        2, "", "error: --horizon -3: must be >= 0\n"
+    )
 
 
 def test_negative_range_after_flag_matches_equals_form(capsys):
@@ -430,7 +439,7 @@ def test_primes_above_the_limit_are_refused(capsys):
 
 
 def test_sizes_above_the_limits_are_refused_naming_the_limit(capsys):
-    assert congruence.MAX_HORIZON >= DEFAULT_HORIZON
+    assert cli.MAX_HORIZON >= DEFAULT_HORIZON
     for argv, limit in (
         (["verify", "--theorem", "lemma-2.1", "--n", "3000"], "MAX_HORIZON"),
         (["verify", "--theorem", "thm-1.1", "--n", "1", "--p", "5", "--horizon", "3000"], "MAX_HORIZON"),
@@ -455,7 +464,7 @@ def test_sizes_above_the_limits_are_refused_naming_the_limit(capsys):
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1, argv
         assert code == 2 and out == "", argv
-        assert err.startswith("error: ") and f"{limit}={getattr(congruence, limit)}" in err, argv
+        assert err.startswith("error: ") and f"{limit}={getattr(cli, limit)}" in err, argv
         assert err.count("\n") == 1
 
 
@@ -480,12 +489,12 @@ def test_verify_and_sweep_refuse_a_negative_m_with_one_message(capsys):
 
 
 def test_verify_and_sweep_refuse_an_m_above_max_m_with_one_message(capsys):
-    m = str(congruence.MAX_M + 1)
+    m = str(cli.MAX_M + 1)
     verify = run(capsys, "verify", *_LEMMA_2_1, "--m", m)
     sweep = run(capsys, "sweep", "--theorem", "lemma-2.1", "--sequence", "step", "--n", "2..2", "--primes", "5..5",
                 "--m", m)
-    assert verify == sweep == (2, "", f"error: m {m} is above the limit MAX_M={congruence.MAX_M}\n")
-    assert run(capsys, "verify", *_LEMMA_2_1, "--m", str(congruence.MAX_M))[0] == 0
+    assert verify == sweep == (2, "", f"error: m {m} is above the limit MAX_M={cli.MAX_M}\n")
+    assert run(capsys, "verify", *_LEMMA_2_1, "--m", str(cli.MAX_M))[0] == 0
 
 
 def test_sweep_depth_above_every_admissible_prime_is_refused(capsys):
